@@ -15,8 +15,8 @@ The contract that keeps this invisible:
   character-for-character (key order, ``", "`` separators, strict JSON
   numbers, no escapes in the stroke value).  Anything else — compact
   separators, reordered keys, ``NaN``, ``1.``, an escaped quote, a
-  control character — returns ``None`` and the caller falls back to
-  the exact legacy path, so validation outcomes and error-reply bytes
+  control character — fails to match ``OP_LINE`` and the caller falls
+  back to the exact legacy path, so validation outcomes and error-reply bytes
   are unchanged for every input;
 * reply splicing applies only to lines the *worker's* ``json.dumps``
   produced, for which ``dumps(loads(raw))`` is the identity; removing
@@ -25,51 +25,29 @@ The contract that keeps this invisible:
   reply outside the shape (stats, swap acks, errors, escaped strokes)
   returns ``None``.
 
-Number syntax is validated against the JSON grammar, not ``float()`` —
-``float`` accepts ``"1_0"``, ``"+1"``, ``".5"`` and ``"1."``, all of
-which ``json.loads`` rejects, and the fast path must reject exactly
-what the slow path rejects.
+The canonical grammar — JSON numbers, splice-safe stroke characters,
+the op-line shape — is defined once, in :mod:`repro.serve.protocol`,
+and shared with the server's own decoder.  The router takes any JSON
+number (it splices, never converts ``x``/``y``); validation of the
+values is the worker's.
 """
 
 from __future__ import annotations
 
 import re
 
-__all__ = ["OP_LINE", "parse_op_line", "splice_reply"]
+from ..serve.protocol import JSON_NUMBER, SAFE_CHAR, op_line_pattern
 
-# The JSON number grammar (RFC 8259): optional minus, no leading zeros,
-# optional fraction, optional signed exponent.
-_NUM = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
-
-# A stroke value with no escapes and no raw control characters: its
-# decoded text equals its wire text, which is what licenses splicing.
-_VALUE = r'[^"\\\x00-\x1f]+'
+__all__ = ["OP_LINE", "splice_reply"]
 
 # Public: the router's batch loop matches against this directly (the
 # per-line function-call and tuple costs are measurable at its rates);
-# group 2 is the stroke value span, group 3 the ``t`` number.
-OP_LINE = re.compile(
-    '\\{"op": "(down|move|up)", "stroke": "(%s)", '
-    '"x": (?:%s), "y": (?:%s), "t": (%s)\\}\\Z' % (_VALUE, _NUM, _NUM, _NUM)
+# group 2 is the stroke value span, group 5 the ``t`` number.
+OP_LINE = re.compile(op_line_pattern(JSON_NUMBER))
+
+_REPLY = re.compile(
+    '\\{"kind": "(recog|manip|commit|evict)", "stroke": "(%s+)", ' % SAFE_CHAR
 )
-
-_REPLY = re.compile('\\{"kind": "(recog|manip|commit|evict)", "stroke": "(%s)", ' % _VALUE)
-
-
-def parse_op_line(line: str):
-    """Parse one canonical session-op line without building a dict.
-
-    Returns ``(op, stroke, t, vstart)`` — ``vstart`` is the offset of
-    the stroke value, where the caller splices in its ``client:``
-    namespace prefix — or ``None`` when the line is anything other than
-    a canonical ``down``/``move``/``up`` (the caller must then take the
-    legacy parse-validate-reencode path).
-    """
-    m = OP_LINE.match(line)
-    if m is None:
-        return None
-    op, stroke, t = m.group(1, 2, 3)
-    return op, stroke, float(t), m.start(2)
 
 
 def splice_reply(raw: str):

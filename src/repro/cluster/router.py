@@ -689,7 +689,7 @@ class Router:
                     break
                 continue
             seen = True
-            stroke, ts = m.group(2, 3)
+            stroke, ts = m.group(2, 5)
             key = ns + stroke
             record = sessions.get(key)
             if record is None:

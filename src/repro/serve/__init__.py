@@ -45,6 +45,7 @@ from .pool import DEFAULT_IDLE_TIMEOUT, Decision, SessionPool
 from .protocol import (
     ProtocolError,
     Request,
+    decode_line,
     decode_payload,
     decode_request,
     encode_decision,
@@ -74,6 +75,7 @@ __all__ = [
     "Request",
     "SessionPool",
     "compare_modes",
+    "decode_line",
     "decode_payload",
     "decode_request",
     "encode_decision",

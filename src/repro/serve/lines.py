@@ -114,8 +114,16 @@ class LineReader:
         events = [await self.next()]
         if events[0][0] == "eof":
             return events
-        while True:
-            event = self._scan()
-            if event is None:
-                return events
-            events.append(event)
+        # ``next`` only returns outside an oversized line, so every
+        # complete line left in the buffer splits off in one C call.
+        buf = self._buf
+        end = buf.rfind(b"\n", self._pos)
+        if end < 0:
+            return events
+        max_line = self.max_line
+        for line in bytes(buf[self._pos : end]).split(b"\n"):
+            events.append(
+                ("line", line) if len(line) <= max_line else ("overflow", b"")
+            )
+        self._pos = self._scanned = end + 1
+        return events

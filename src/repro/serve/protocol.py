@@ -67,19 +67,25 @@ when the server runs without a metrics registry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from math import isfinite
 
 from .pool import Decision
 
 __all__ = [
+    "JSON_FLOAT",
+    "JSON_NUMBER",
+    "SAFE_CHAR",
     "ProtocolError",
     "Request",
+    "decode_line",
     "decode_payload",
     "decode_request",
     "encode_decision",
     "encode_error",
     "encode_stats",
     "encode_swap",
+    "op_line_pattern",
 ]
 
 _OPS = ("down", "move", "up", "tick", "sweep", "stats", "swap", "release", "pin")
@@ -87,23 +93,125 @@ _OPS = ("down", "move", "up", "tick", "sweep", "stats", "swap", "release", "pin"
 # Ops that may omit ``t`` (it defaults to 0.0, a virtual-clock no-op).
 _OPTIONAL_T = ("sweep", "stats", "release", "pin")
 
+# -- the canonical-line grammar ------------------------------------------------
+#
+# A *canonical* line is the exact text ``json.dumps`` writes: its key
+# order, ``", "``/``": "`` separators, no escapes.  Every fast path that
+# reads or splices such lines (the decoder below, the cluster router's
+# splice path) is built from these definitions, and any line outside
+# them takes the full ``json`` path — so validation outcomes and error
+# bytes never depend on which path ran.
+
+# The JSON number grammar (RFC 8259): optional minus, no leading zeros,
+# optional fraction, optional signed exponent.  Checked as text, not
+# with ``float()``, which also takes "1_0", "+1", ".5" and "1." — all
+# of which ``json.loads`` rejects.
+JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+
+# A JSON number that ``json.loads`` reads as a float (it has a fraction
+# or an exponent) — every float ``json.dumps`` writes.  An integer
+# literal reads as an ``int``, so "-0" must stay 0.0, not -0.0.
+JSON_FLOAT = (
+    r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
+)
+
+# One character of a splice-safe string value: printable ASCII except
+# ``"`` and ``\``.  Exactly the characters ``json.dumps`` writes
+# verbatim, so such a value's wire text equals its decoded text.
+SAFE_CHAR = r"[ !#-\[\]-~]"
+
+
+def op_line_pattern(number: str) -> str:
+    """The canonical ``down``/``move``/``up`` line as a regex.
+
+    ``number`` is the grammar for ``x``, ``y`` and ``t``.  Groups: 1 op,
+    2 stroke, 3 x, 4 y, 5 t.
+    """
+    return (
+        '\\{"op": "(down|move|up)", "stroke": "(%s+)", '
+        '"x": (%s), "y": (%s), "t": (%s)\\}\\Z'
+        % (SAFE_CHAR, number, number, number)
+    )
+
+
+_CANONICAL_OP = re.compile(op_line_pattern(JSON_FLOAT).encode()).match
+_OP_NAMES = {b"down": "down", b"move": "move", b"up": "up"}
+_PLAIN = re.compile(SAFE_CHAR + "*\\Z").match
+
 
 class ProtocolError(ValueError):
     """A request line that cannot be understood."""
 
 
-@dataclass(frozen=True)
 class Request:
-    """One decoded client request."""
+    """One decoded client request.
 
-    op: str  # "down" | "move" | "up" | "tick" | "sweep" | "stats" | "swap"
-    t: float
-    stroke: str = ""
-    x: float = 0.0
-    y: float = 0.0
-    max_idle: float = 0.0  # sweep only
-    user: str = ""  # swap only: the session-key prefix to rebind
-    model: str = ""  # swap only: registry "name" or "name@version"
+    A plain slotted class rather than a dataclass: one is built per op
+    on the serving hot path, positionally (``op, t, stroke, x, y``).
+    """
+
+    __slots__ = ("op", "t", "stroke", "x", "y", "max_idle", "user", "model")
+
+    def __init__(
+        self,
+        op: str,  # "down" | "move" | "up" | "tick" | "sweep" | "stats" | ...
+        t: float,
+        stroke: str = "",
+        x: float = 0.0,
+        y: float = 0.0,
+        max_idle: float = 0.0,  # sweep only
+        user: str = "",  # swap only: the session-key prefix to rebind
+        model: str = "",  # swap only: registry "name" or "name@version"
+    ):
+        self.op = op
+        self.t = t
+        self.stroke = stroke
+        self.x = x
+        self.y = y
+        self.max_idle = max_idle
+        self.user = user
+        self.model = model
+
+    def _fields(self) -> tuple:
+        return (
+            self.op, self.t, self.stroke, self.x, self.y,
+            self.max_idle, self.user, self.model,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "Request(%s)" % ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields())
+        )
+
+
+def decode_line(line: bytes) -> Request:
+    """Decode one request line: :func:`decode_request`, made fast for
+    canonical ``down``/``move``/``up`` lines.
+
+    A canonical line with float literals and finite values becomes a
+    :class:`Request` straight from one regex match; everything else —
+    integer literals, non-finite numbers, escapes, other ops, bad JSON
+    — goes to :func:`decode_request` unchanged, so the result (or the
+    :class:`ProtocolError` message) is always :func:`decode_request`'s.
+    """
+    m = _CANONICAL_OP(line)
+    if m is not None:
+        op, stroke, x, y, t = m.groups()
+        x = float(x)
+        y = float(y)
+        t = float(t)
+        if isfinite(x + y + t):
+            return Request(_OP_NAMES[op], t, stroke.decode(), x, y)
+    return decode_request(line)
 
 
 def decode_request(line: str | bytes) -> Request:
@@ -113,6 +221,27 @@ def decode_request(line: str | bytes) -> Request:
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"bad json: {exc}") from None
     return decode_payload(payload)
+
+
+def _number(payload: dict, field: str, message: str, default=None) -> float:
+    """``payload[field]`` as a finite float, else ``ProtocolError(message)``.
+
+    ``default`` (when not None) stands in for a missing field.  A huge
+    integer literal overflows ``float()``; ``NaN``, ``Infinity`` and
+    ``1e400`` parse to non-finite floats: all are rejected like any
+    other non-number.
+    """
+    try:
+        value = float(payload[field])
+    except KeyError:
+        if default is None:
+            raise ProtocolError(message) from None
+        return default
+    except (TypeError, ValueError, OverflowError):
+        raise ProtocolError(message) from None
+    if not isfinite(value):
+        raise ProtocolError(message)
+    return value
 
 
 def decode_payload(payload) -> Request:
@@ -128,24 +257,19 @@ def decode_payload(payload) -> Request:
     op = payload.get("op")
     if op not in _OPS:
         raise ProtocolError(f"unknown op: {op!r}")
-    try:
-        t = float(payload["t"])
-    except KeyError:
-        if op not in _OPTIONAL_T:
-            raise ProtocolError("missing or non-numeric t") from None
-        t = 0.0
-    except (TypeError, ValueError):
-        raise ProtocolError("missing or non-numeric t") from None
+    t = _number(
+        payload,
+        "t",
+        "missing or non-numeric t",
+        0.0 if op in _OPTIONAL_T else None,
+    )
     if op == "sweep":
-        try:
-            max_idle = float(payload.get("max_idle", 0.0))
-        except (TypeError, ValueError):
-            raise ProtocolError("non-numeric max_idle") from None
+        max_idle = _number(payload, "max_idle", "non-numeric max_idle", 0.0)
         if max_idle < 0.0:
             raise ProtocolError("max_idle must be >= 0")
-        return Request(op=op, t=t, max_idle=max_idle)
+        return Request(op, t, max_idle=max_idle)
     if op in ("tick", "stats"):
-        return Request(op=op, t=t)
+        return Request(op, t)
     if op == "swap":
         user = payload.get("user")
         model = payload.get("model")
@@ -153,14 +277,14 @@ def decode_payload(payload) -> Request:
             raise ProtocolError("missing swap user")
         if not isinstance(model, str) or not model:
             raise ProtocolError("missing swap model")
-        return Request(op=op, t=t, user=user, model=model)
+        return Request(op, t, user=user, model=model)
     stroke = payload.get("stroke")
     if not isinstance(stroke, str) or not stroke:
         raise ProtocolError("missing stroke id")
     if op == "release":
         # Internal (router → worker only): silently forget a session
         # that migrated away.  Carries no point, produces no decision.
-        return Request(op=op, t=t, stroke=stroke)
+        return Request(op, t, stroke)
     if op == "pin":
         # Internal (router → worker only): one-shot model pin for the
         # stroke's *next* session open.  ``model`` may be "" (default
@@ -168,27 +292,52 @@ def decode_payload(payload) -> Request:
         model = payload.get("model", "")
         if not isinstance(model, str):
             raise ProtocolError("missing pin model")
-        return Request(op=op, t=t, stroke=stroke, model=model)
-    try:
-        x = float(payload["x"])
-        y = float(payload["y"])
-    except (KeyError, TypeError, ValueError):
-        raise ProtocolError("missing or non-numeric x/y") from None
-    return Request(op=op, t=t, stroke=stroke, x=x, y=y)
+        return Request(op, t, stroke, model=model)
+    x = _number(payload, "x", "missing or non-numeric x/y")
+    y = _number(payload, "y", "missing or non-numeric x/y")
+    return Request(op, t, stroke, x, y)
 
 
 def encode_decision(decision: Decision, stroke: str) -> str:
-    """Encode one pool decision as a reply line (without the newline)."""
+    """Encode one pool decision as a reply line (without the newline).
+
+    The bytes are ``json.dumps``'s.  A decision whose strings need no
+    escaping and whose ``t`` is a finite float — every decision the pool
+    makes for a canonical stroke id — fills a template instead; anything
+    else is handed to ``json.dumps``.
+    """
+    kind = decision.kind
+    name = decision.class_name
+    eager = decision.eager
+    seen = decision.points_seen
+    total = decision.total_points
+    t = decision.t
+    reason = decision.reason
+    if (
+        type(t) is float
+        and isfinite(t)  # json writes NaN/Infinity where repr says nan/inf
+        and (eager is True or eager is False)
+        and type(seen) is int
+        and type(total) is int
+        and _PLAIN(kind + stroke + reason + ("" if name is None else name))
+    ):
+        name = "null" if name is None else '"' + name + '"'
+        eager = "true" if eager else "false"
+        return (
+            f'{{"kind": "{kind}", "stroke": "{stroke}", "class": {name}, '
+            f'"eager": {eager}, "points_seen": {seen}, '
+            f'"total_points": {total}, "t": {t!r}, "reason": "{reason}"}}'
+        )
     return json.dumps(
         {
-            "kind": decision.kind,
+            "kind": kind,
             "stroke": stroke,
-            "class": decision.class_name,
-            "eager": decision.eager,
-            "points_seen": decision.points_seen,
-            "total_points": decision.total_points,
-            "t": decision.t,
-            "reason": decision.reason,
+            "class": name,
+            "eager": eager,
+            "points_seen": seen,
+            "total_points": total,
+            "t": t,
+            "reason": reason,
         }
     )
 

@@ -9,14 +9,16 @@ Concurrency model
 -----------------
 
 All recognition runs on one *pump* task.  Every connection (and every
-in-process channel) pushes decoded requests into one bounded inbox; the
-pump drains whatever has accumulated, applies it to the
+in-process channel) pushes decoded requests into one inbox — a
+connection hands over each socket read's requests as one item — and
+the pump drains whatever has accumulated, applies it to the
 :class:`~repro.serve.SessionPool` as one batch — which is exactly what
 makes the batched evaluator pay off — and routes the resulting decisions
 to per-channel bounded outboxes.  Backpressure is explicit at both ends:
 
-* a full inbox suspends the producing connection's reader coroutine
-  (TCP flow control does the rest upstream);
+* the inbox is bounded in ops (``queue_size``); while it is full, a
+  producing connection's reader coroutine is suspended (TCP flow
+  control does the rest upstream);
 * a full outbox means the consumer is not reading its replies; rather
   than buffer without bound or stall every other client, the server
   closes that channel.  Each closure only ever affects its own client.
@@ -59,7 +61,7 @@ from .pool import Decision, SessionPool
 from .protocol import (
     ProtocolError,
     Request,
-    decode_request,
+    decode_line,
     encode_decision,
     encode_error,
     encode_stats,
@@ -73,6 +75,35 @@ __all__ = ["Channel", "DEFAULT_MAX_LINE", "GestureServer"]
 DEFAULT_MAX_LINE = 65536
 
 _CLOSE = object()  # outbox sentinel
+
+_SESSION_OPS = ("down", "move", "up")
+
+
+class _Inbox(asyncio.Queue):
+    """The pump's inbox of ``(channel, requests)`` items, bounded in ops.
+
+    A connection queues each read's requests as one item, so a bound on
+    items would let the number of queued ops grow with the read size.
+    Counting ops keeps ``queue_size`` the bound it was when every op was
+    its own item.  An item is admitted whenever fewer than ``maxsize``
+    ops are queued, so a read larger than the bound cannot deadlock.
+    """
+
+    def _init(self, maxsize):
+        super()._init(maxsize)
+        self.ops = 0
+
+    def _put(self, item):
+        super()._put(item)
+        self.ops += len(item[1])
+
+    def _get(self):
+        item = super()._get()
+        self.ops -= len(item[1])
+        return item
+
+    def full(self) -> bool:
+        return 0 < self._maxsize <= self.ops
 
 
 class _Wire:
@@ -92,6 +123,7 @@ class Channel:
     def __init__(self, server: "GestureServer", channel_id: str, queue_size: int):
         self._server = server
         self.id = channel_id
+        self.prefix = channel_id + "/"  # session-key namespace
         self.closed = False
         self._outbox: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
 
@@ -99,7 +131,7 @@ class Channel:
         """Submit one request; suspends while the server inbox is full."""
         if self.closed:
             raise ConnectionError("channel is closed")
-        await self._server._inbox.put((self, request))
+        await self._server._inbox.put((self, (request,)))
 
     async def recv(self) -> str | None:
         """Next reply line, or None once the channel is closed and drained."""
@@ -202,7 +234,7 @@ class GestureServer:
         # how lines coalesced into batches.
         self._latest = float("-inf")
         self._batch_no = 0
-        self._inbox: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
+        self._inbox = _Inbox(maxsize=queue_size)
         self._channels: dict[str, Channel] = {}
         self._next_channel = 0
         self._server: asyncio.AbstractServer | None = None
@@ -268,11 +300,11 @@ class GestureServer:
     def _fault_key(item: tuple[Channel, Request]) -> str | None:
         """Session key of one pump item; None exempts it from faults."""
         channel, request = item
-        if request.op in ("tick", "sweep", "stats", "swap", "release", "pin"):
+        if request.op not in _SESSION_OPS:
             return None
-        return f"{channel.id}/{request.stroke}"
+        return channel.prefix + request.stroke
 
-    def _apply(self, batch: list[tuple[Channel, Request]]) -> None:
+    def _apply(self, batch: list[tuple[Channel, tuple]]) -> None:
         """Apply one pump batch; the clock advances at barriers only.
 
         ``tick`` and ``sweep`` requests split the batch into segments:
@@ -287,78 +319,86 @@ class GestureServer:
         router's crash-replay equivalence rests on.
         """
         if self.observer is not None:
-            self.observer.server_batch(len(batch))
+            self.observer.server_batch(sum(len(item[1]) for item in batch))
         live = [item for item in batch if not item[0].closed]
         kills: list = []
         if self.fault_injector is not None:
+            # Faults act per op: flatten the read batches, mangle them,
+            # and carry on with each delivered op as its own item.
             self._batch_no += 1
-            live, kills = self.fault_injector.apply(
-                self._batch_no, live, key=self._fault_key
+            delivered, kills = self.fault_injector.apply(
+                self._batch_no,
+                [(channel, r) for channel, requests in live for r in requests],
+                key=self._fault_key,
             )
+            live = [(channel, (request,)) for channel, request in delivered]
+        submit = self.pool.submit
+        record = self._record
         latest = self._latest
         dirty = False  # pool input buffered since the last barrier
+        # Consecutive session ops with one timestamp go to the pool as
+        # one chunk (``submit`` is equivalent to one call per op).  A
+        # zero timestamp never joins a chunk, so -0.0 keeps its sign.
+        chunk: list = []
+        chunk_t = 0.0
         stats_requests: list[Channel] = []
         decisions: list[Decision] = []
         released: list[tuple[Channel, str]] = []
-        for channel, request in live:
-            op = request.op
-            if op == "stats":
-                stats_requests.append(channel)
-                continue
-            if op in ("tick", "sweep"):
-                if request.t > latest:
-                    latest = request.t
-                decisions.extend(self.pool.advance_to(latest))
-                if op == "sweep":
-                    decisions.extend(self.pool.evict_idle(request.max_idle))
-                dirty = False
-                continue
-            if op == "swap":
-                line, applied = self._swap(channel, request)
-                dirty = dirty or applied
-                if not channel.closed and not channel._push(line):
-                    self._close_channel(channel)
-                continue
-            key = f"{channel.id}/{request.stroke}"
-            if op == "release":
-                # Migration handoff: forget the session silently, then
-                # ack *after* this batch's decisions route — the ack
-                # orders behind any still-in-flight reply for the key.
-                self.pool.release(key, request.t)
-                dirty = True
-                released.append((channel, request.stroke))
-                continue
-            if op == "pin":
-                line, applied = self._pin(channel, key, request)
-                dirty = dirty or applied
-                if line is not None:
+        for channel, requests in live:
+            prefix = channel.prefix
+            for request in requests:
+                op = request.op
+                if op in _SESSION_OPS:
+                    t = request.t
+                    if chunk and (t != chunk_t or not t):
+                        submit(chunk, chunk_t)
+                        chunk = []
+                    chunk_t = t
+                    key = prefix + request.stroke
+                    chunk.append((op, key, request.x, request.y))
+                    if record is not None:
+                        self._record_op(channel, key, request)
+                    dirty = True
+                    if t > latest:
+                        latest = t
+                    continue
+                if chunk:
+                    submit(chunk, chunk_t)
+                    chunk = []
+                if op == "stats":
+                    stats_requests.append(channel)
+                    continue
+                if op in ("tick", "sweep"):
+                    if request.t > latest:
+                        latest = request.t
+                    decisions.extend(self.pool.advance_to(latest))
+                    if op == "sweep":
+                        decisions.extend(self.pool.evict_idle(request.max_idle))
+                    dirty = False
+                    continue
+                if op == "swap":
+                    line, applied = self._swap(channel, request)
+                    dirty = dirty or applied
                     if not channel.closed and not channel._push(line):
                         self._close_channel(channel)
-                continue
-            if op == "down":
-                self.pool.down(key, request.x, request.y, request.t)
-            elif op == "move":
-                self.pool.move(key, request.x, request.y, request.t)
-            else:
-                self.pool.up(key, request.x, request.y, request.t)
-            if self._record is not None:
-                self._record.write(
-                    json.dumps(
-                        {
-                            "rec": "op",
-                            "op": op,
-                            "user": channel.id,
-                            "stroke": key,
-                            "x": request.x,
-                            "y": request.y,
-                            "t": request.t,
-                        }
-                    )
-                    + "\n"
-                )
-            dirty = True
-            if request.t > latest:
-                latest = request.t
+                    continue
+                key = prefix + request.stroke
+                if op == "release":
+                    # Migration handoff: forget the session silently, then
+                    # ack *after* this batch's decisions route — the ack
+                    # orders behind any still-in-flight reply for the key.
+                    self.pool.release(key, request.t)
+                    dirty = True
+                    released.append((channel, request.stroke))
+                    continue
+                if op == "pin":
+                    line, applied = self._pin(channel, key, request)
+                    dirty = dirty or applied
+                    if line is not None:
+                        if not channel.closed and not channel._push(line):
+                            self._close_channel(channel)
+        if chunk:
+            submit(chunk, chunk_t)
         self._latest = latest
         for key in kills:
             self.pool.kill(
@@ -398,6 +438,23 @@ class GestureServer:
             for channel in stats_requests:
                 if not channel.closed and not channel._push(line):
                     self._close_channel(channel)
+
+    def _record_op(self, channel: Channel, key: str, request: Request) -> None:
+        """Journal one applied down/move/up as an adapt-harvest record."""
+        self._record.write(
+            json.dumps(
+                {
+                    "rec": "op",
+                    "op": request.op,
+                    "user": channel.id,
+                    "stroke": key,
+                    "x": request.x,
+                    "y": request.y,
+                    "t": request.t,
+                }
+            )
+            + "\n"
+        )
 
     def _swap(self, channel: Channel, request: Request) -> tuple[str, bool]:
         """Resolve one swap against the registry; returns (reply, applied).
@@ -533,6 +590,7 @@ class GestureServer:
                     events = [await frames.next()]
                 else:
                     events = await frames.next_batch()
+                requests: list[Request] = []  # this read's ops: one put
                 for kind, line in events:
                     if kind == "eof":
                         eof = True
@@ -546,9 +604,12 @@ class GestureServer:
                             eof = True
                             break
                         continue
-                    line = line.strip()
-                    if not line:
-                        continue
+                    # bytes.strip() copies even when there is nothing to
+                    # strip; a canonical line starts with { and ends with }.
+                    if not (line and line[0] == 123 and line[-1] == 125):
+                        line = line.strip()
+                        if not line:
+                            continue
                     if first:
                         first = False
                         if line.startswith(b"{") and b'"hello"' in line:
@@ -580,13 +641,13 @@ class GestureServer:
                                     break
                                 continue
                     try:
-                        request = decode_request(line)
+                        requests.append(decode_line(line))
                     except ProtocolError as exc:
                         if not channel._push(self._bad_request_reply(line, exc)):
                             eof = True
                             break
-                        continue
-                    await channel.send(request)
+                if requests and not channel.closed:
+                    await self._inbox.put((channel, requests))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:

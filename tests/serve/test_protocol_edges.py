@@ -14,12 +14,15 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.serve import (
     DEFAULT_MAX_LINE,
     GestureServer,
     LineReader,
     ProtocolError,
+    decode_line,
     decode_request,
 )
 
@@ -51,6 +54,48 @@ def test_decode_request_rejects(line, fragment):
     with pytest.raises(ProtocolError) as exc:
         decode_request(line)
     assert fragment in str(exc.value)
+
+
+HUGE = "1" + "0" * 400  # an integer literal far beyond float range
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        # A huge integer overflows float(): once an OverflowError that
+        # escaped the decoder and killed the client's connection.
+        ('{"op": "move", "stroke": "a", "x": %s, "y": 1, "t": 0}' % HUGE,
+         "missing or non-numeric x/y"),
+        ('{"op": "move", "stroke": "a", "x": 1, "y": -%s, "t": 0}' % HUGE,
+         "missing or non-numeric x/y"),
+        ('{"op": "tick", "t": %s}' % HUGE, "missing or non-numeric t"),
+        ('{"op": "sweep", "max_idle": %s}' % HUGE, "non-numeric max_idle"),
+        # Non-finite numbers: json.loads takes NaN/Infinity literals, and
+        # 1e400 parses to inf.
+        ('{"op": "down", "stroke": "a", "x": NaN, "y": 1, "t": 0}',
+         "missing or non-numeric x/y"),
+        ('{"op": "down", "stroke": "a", "x": 1, "y": -Infinity, "t": 0}',
+         "missing or non-numeric x/y"),
+        ('{"op": "up", "stroke": "a", "x": 1e400, "y": 1.0, "t": 0.5}',
+         "missing or non-numeric x/y"),
+        ('{"op": "move", "stroke": "a", "x": 1.0, "y": 1.0, "t": NaN}',
+         "missing or non-numeric t"),
+        ('{"op": "tick", "t": Infinity}', "missing or non-numeric t"),
+        ('{"op": "tick", "t": 1e400}', "missing or non-numeric t"),
+        ('{"op": "stats", "t": -Infinity}', "missing or non-numeric t"),
+        ('{"op": "sweep", "max_idle": NaN}', "non-numeric max_idle"),
+        ('{"op": "sweep", "max_idle": Infinity}', "non-numeric max_idle"),
+        ('{"op": "sweep", "max_idle": 1e400}', "non-numeric max_idle"),
+    ],
+)
+def test_decode_rejects_overflow_and_non_finite(line, message):
+    with pytest.raises(ProtocolError) as exc:
+        decode_request(line)
+    assert str(exc.value) == message
+    # The server's decoder (canonical fast path, same fallback) agrees.
+    with pytest.raises(ProtocolError) as exc:
+        decode_line(line.encode())
+    assert str(exc.value) == message
 
 
 def test_decode_request_optional_t():
@@ -124,6 +169,50 @@ def test_line_reader_unterminated_tail():
     # ...and an unterminated oversized tail is an overflow.
     reader = LineReader(_FeedReader([b"x" * 100]), 64)
     assert _drain(reader) == [("overflow", b""), ("eof", b"")]
+
+
+@given(
+    lines=st.lists(
+        st.binary(max_size=24).map(lambda b: b.replace(b"\n", b"")),
+        max_size=20,
+    ),
+    tail=st.binary(max_size=24).map(lambda b: b.replace(b"\n", b"")),
+    max_line=st.integers(1, 20),
+    data=st.data(),
+)
+def test_line_reader_batches_equal_single_events(lines, tail, max_line, data):
+    # next_batch splits every buffered line at once; the events must be
+    # exactly the ones next() yields one at a time, however reads fall.
+    stream = b"".join(line + b"\n" for line in lines) + tail
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(stream) - 1)))))
+    bounds = [0, *[c for c in cuts if c < len(stream)], len(stream)]
+    chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    async def batched():
+        reader = LineReader(_FeedReader(chunks), max_line)
+        events = []
+        while not events or events[-1][0] != "eof":
+            events.extend(await reader.next_batch())
+        return events
+
+    assert asyncio.run(batched()) == _drain(
+        LineReader(_FeedReader(chunks), max_line)
+    )
+
+
+def test_line_reader_batch_keeps_the_exact_cap():
+    # A line of exactly max_line bytes is a line, one byte more is an
+    # overflow — also for the lines a batch splits off after the first.
+    async def batched():
+        reader = LineReader(_FeedReader([b"ab\nabc\nabcd\nabc\n"]), 3)
+        return await reader.next_batch()
+
+    assert asyncio.run(batched()) == [
+        ("line", b"ab"),
+        ("line", b"abc"),
+        ("overflow", b""),
+        ("line", b"abc"),
+    ]
 
 
 # -- TCP error isolation ------------------------------------------------------
@@ -258,3 +347,44 @@ def test_duplicate_down_errors_only_the_offender(directions_recognizer):
     # ...but both sessions still recognized and committed.
     assert a_kinds[-1] == "commit" and b_kinds[-1] == "commit"
     assert "error" not in b_kinds
+
+
+def test_overflowing_number_gets_error_and_connection_survives(
+    directions_recognizer,
+):
+    # Before the fix the decoder raised OverflowError, which the
+    # connection handler does not catch: the client lost its connection
+    # and every stroke on it.
+    async def script(reader, writer):
+        def send(payload):
+            writer.write(json.dumps(payload).encode() + b"\n")
+
+        send({"op": "down", "stroke": "s1", "x": 0.0, "y": 0.0, "t": 0.0})
+        writer.write(
+            b'{"op": "move", "stroke": "s1", "x": %s, "y": 1, "t": 0}\n'
+            % HUGE.encode()
+        )
+        writer.write(b'{"op": "tick", "t": %s}\n' % HUGE.encode())
+        writer.write(b'{"op": "move", "stroke": "s1", "x": NaN, "y": 1, "t": 0}\n')
+        await writer.drain()
+        errors = [await _readline(reader) for _ in range(3)]
+        for i in range(1, 10):
+            t = i * 0.01
+            send({"op": "move", "stroke": "s1", "x": i * 5.0, "y": i * 5.0, "t": t})
+        send({"op": "up", "stroke": "s1", "x": 45.0, "y": 45.0, "t": 0.1})
+        await writer.drain()
+        replies = [await _readline(reader)]
+        while replies[-1]["kind"] != "commit":
+            replies.append(await _readline(reader))
+        return errors, replies
+
+    errors, replies = asyncio.run(_tcp_scenario(directions_recognizer, script))
+    assert [e["reason"] for e in errors] == [
+        "missing or non-numeric x/y",
+        "missing or non-numeric t",
+        "missing or non-numeric x/y",
+    ]
+    assert replies[-1]["kind"] == "commit"
+    assert replies[-1]["stroke"] == "s1"
+    # down + nine moves: the rejected lines never reached the stroke.
+    assert replies[-1]["total_points"] == 10
