@@ -17,7 +17,7 @@ The sharded service's claims, measured:
 
   Two floors are asserted: the 1-worker cluster must stay within 0.85x
   of the single-process baseline *on any host* (the router's fast
-  paths — splice rewriting, memoized routing, coalesced lp1 writes —
+  paths — op canonicalization, memoized routing, coalesced writes —
   exist to make the extra hop nearly free), and 4 workers must reach
   >= 2x on hosts with at least 4 CPUs (skipped below that: a 1-core
   container cannot demonstrate parallelism; the measured numbers and

@@ -350,21 +350,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import asyncio
     import os
-    import sys
     import tempfile
     from contextlib import ExitStack
 
     from .cluster import Cluster
-
-    if args.drain_timeout is not None:
-        # Deprecation shim: the flag parses but does nothing — drains
-        # migrate live sessions to surviving shards immediately, so
-        # there is nothing to wait out.
-        print(
-            "warning: --drain-timeout is deprecated and ignored "
-            "(drains migrate live sessions instead of waiting them out)",
-            file=sys.stderr,
-        )
 
     # Workers are subprocesses: they load the model from a file.  A
     # --recognizer path is handed straight to them; any other source is
@@ -390,7 +379,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 max_sessions=args.max_sessions,
                 metrics=not args.no_metrics,
                 registry=args.registry,
-                framing=args.framing,
                 quality=args.quality,
                 quality_sample=args.quality_sample,
                 quality_seed=args.quality_seed,
@@ -602,7 +590,6 @@ def _loadgen_cluster(args: argparse.Namespace, recognizer, workload) -> int:
                 path,
                 workers=args.cluster,
                 timeout=DEFAULT_TIMEOUT,
-                framing=args.framing,
                 quality=args.quality,
                 quality_sample=args.quality_sample,
                 quality_seed=args.quality_seed,
@@ -1214,12 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="motionless timeout in (virtual) seconds",
     )
     cluster.add_argument("--max-sessions", type=int, default=4096)
-    # Deprecated and hidden: drains migrate live sessions immediately,
-    # so there is no timeout to configure.  Still parses (scripts that
-    # pass it keep working) but only prints a warning.
-    cluster.add_argument(
-        "--drain-timeout", type=float, default=None, help=argparse.SUPPRESS
-    )
     cluster.add_argument(
         "--min-workers", type=int, default=1, metavar="N",
         help="floor for admin scale ops and the autoscaler",
@@ -1243,12 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--no-metrics", action="store_true",
         help="disable worker metrics (fleet stats replies carry null)",
-    )
-    cluster.add_argument(
-        "--framing", choices=["lp1", "ndjson"], default="lp1",
-        help="router-to-worker wire framing: lp1 (length-prefixed, "
-        "negotiated per link with NDJSON fallback) or ndjson (legacy); "
-        "the client-facing wire is always NDJSON",
     )
     cluster.add_argument(
         "--quality", action="store_true",
@@ -1287,11 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="route the workload through an N-worker cluster "
         "(real subprocesses) and verify the replies are byte-identical "
         "to a single pool",
-    )
-    loadgen.add_argument(
-        "--framing", choices=["lp1", "ndjson"], default="lp1",
-        help="with --cluster: the router-to-worker wire framing; the "
-        "byte-identity check must pass for either",
     )
     loadgen.add_argument(
         "--fault-seed", type=int, default=None, metavar="SEED",

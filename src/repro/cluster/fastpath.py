@@ -1,49 +1,48 @@
-"""Byte-splicing fast paths for the router's two hot loops.
+"""The router's two per-op rewrites, done on text.
 
 The router's data plane does exactly two things per session op: rewrite
 the ``stroke`` field on the way in (namespace it ``client:stroke``) and
-rewrite it back on the way out.  The legacy implementation pays a full
-``json.loads`` → mutate → ``json.dumps`` round trip in each direction —
-by far the largest per-op cost.  Both rewrites only ever touch one
-value span, so when a line is in *canonical form* (the exact text
-``json.dumps`` produces, which is what every shipped client and every
-worker emits) the rewrite is a string splice at a precomputed offset.
+rewrite it back on the way out.  A ``json.loads`` → mutate →
+``json.dumps`` round trip in each direction would be by far the largest
+per-op cost, and both rewrites only ever touch one value span.
 
 The contract that keeps this invisible:
 
-* the fast parse accepts **only** lines that match the canonical shape
-  character-for-character (key order, ``", "`` separators, strict JSON
-  numbers, no escapes in the stroke value).  Anything else — compact
-  separators, reordered keys, ``NaN``, ``1.``, an escaped quote, a
-  control character — fails to match ``OP_LINE`` and the caller falls
-  back to the exact legacy path, so validation outcomes and error-reply bytes
-  are unchanged for every input;
+* ``OP_LINE`` takes a ``down``/``move``/``up`` line in ``json.dumps``'s
+  key order with any JSON whitespace between tokens (so both the
+  canonical form every shipped client writes and ``JSON.stringify``'s
+  compact form), a stroke of splice-safe characters, and any JSON
+  number for ``x``, ``y`` and ``t``.  The router rebuilds every match in
+  the canonical shape with the namespaced stroke; number literals pass
+  through as written, so the worker decodes exactly the values the
+  client sent.  Anything else — reordered keys, escapes, ``NaN``, ``1.``,
+  a vertical tab — fails to match and takes the router's ``json`` path,
+  so validation outcomes and error-reply bytes are unchanged for every
+  input.  Finiteness is the router's check: ``1e400`` matches here;
 * reply splicing applies only to lines the *worker's* ``json.dumps``
   produced, for which ``dumps(loads(raw))`` is the identity; removing
   the ``client:`` prefix from an escape-free stroke span therefore
-  yields the same bytes the legacy decode → re-encode produced.  Any
-  reply outside the shape (stats, swap acks, errors, escaped strokes)
-  returns ``None``.
+  yields the same bytes a decode → re-encode would.  Any reply outside
+  the shape (stats, swap acks, errors, escaped strokes) returns
+  ``None``.
 
-The canonical grammar — JSON numbers, splice-safe stroke characters,
-the op-line shape — is defined once, in :mod:`repro.serve.protocol`,
-and shared with the server's own decoder.  The router takes any JSON
-number (it splices, never converts ``x``/``y``); validation of the
-values is the worker's.
+The grammar — JSON numbers and whitespace, splice-safe stroke
+characters, the op-line shape — is defined once, in
+:mod:`repro.serve.protocol`, and shared with the server's own decoder.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..serve.protocol import JSON_NUMBER, SAFE_CHAR, op_line_pattern
+from ..serve.protocol import JSON_NUMBER, JSON_WS, SAFE_CHAR, op_line_pattern
 
 __all__ = ["OP_LINE", "splice_reply"]
 
 # Public: the router's batch loop matches against this directly (the
-# per-line function-call and tuple costs are measurable at its rates);
-# group 2 is the stroke value span, group 5 the ``t`` number.
-OP_LINE = re.compile(op_line_pattern(JSON_NUMBER))
+# per-line function-call and tuple costs are measurable at its rates).
+# Groups: 1 op, 2 stroke, 3 x, 4 y, 5 t.
+OP_LINE = re.compile(op_line_pattern(JSON_NUMBER, JSON_WS))
 
 _REPLY = re.compile(
     '\\{"kind": "(recog|manip|commit|evict)", "stroke": "(%s+)", ' % SAFE_CHAR
@@ -58,8 +57,8 @@ def splice_reply(raw: str):
     reply with the ``client:`` prefix removed from the stroke value —
     or ``None`` for any reply outside the canonical decision shape
     (stats, swap acks, errors, escaped strokes), which the caller must
-    decode the legacy way.  Splicing partitions on the *first* colon,
-    matching ``key.partition(":")`` in the legacy path.
+    decode with ``json``.  Splicing partitions on the *first* colon,
+    matching ``key.partition(":")`` on the ``json`` path.
     """
     m = _REPLY.match(raw)
     if m is None:

@@ -65,8 +65,6 @@ class Cluster:
         metrics: bool = True,
         shard_names=None,
         registry=None,
-        framing: str = "lp1",
-        no_lp1_shards=(),
         quality: bool = False,
         quality_sample: float = 1.0,
         quality_seed: int = 0,
@@ -95,14 +93,9 @@ class Cluster:
         self._autoscale_task: asyncio.Task | None = None
         self._scale_lock = asyncio.Lock()
         self._next_worker = len(shards)
-        # ``framing`` picks the router→worker wire ("lp1" negotiated
-        # per link, "ndjson" legacy); ``no_lp1_shards`` spawns selected
-        # workers with --no-lp1, producing a mixed fleet where those
-        # links fall back to NDJSON — outputs are byte-identical either
-        # way, which tests assert.
         self.router = Router(
             shards, host=host, port=port, metrics=self.metrics,
-            registry=registry, worker_framing=framing,
+            registry=registry,
         )
         self.supervisor = Supervisor(
             recognizer_path,
@@ -114,7 +107,6 @@ class Cluster:
             on_up=self.router.worker_up,
             on_down=self.router.worker_down,
             registry=registry,
-            no_lp1_shards=no_lp1_shards,
             quality=quality,
             quality_sample=quality_sample,
             quality_seed=quality_seed,

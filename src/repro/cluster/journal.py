@@ -49,7 +49,12 @@ __all__ = ["SessionRecord", "replay_lines"]
 
 
 class SessionRecord:
-    """One live session's route, journal, and delivery cursor."""
+    """One live session's route, journal, and delivery cursor.
+
+    The router appends the entries as it routes each op: a clock marker
+    first when the broadcast clock moved past ``clock_mark``, then the
+    op line.
+    """
 
     __slots__ = ("key", "client", "shard", "delivered", "skip", "clock_mark", "entries")
 
@@ -61,43 +66,6 @@ class SessionRecord:
         self.skip = 0  # replayed replies still to suppress
         self.clock_mark = float("-inf")  # clock at the last journal entry
         self.entries: list[tuple[int, str]] = []  # (seq, line), seq ascending
-
-    def journal(
-        self,
-        seq: int,
-        line: str,
-        clock: float,
-        t: float,
-        clock_line: str | None = None,
-    ) -> int:
-        """Append one routed op line; returns the next free sequence number.
-
-        ``clock`` is the *broadcast* clock before this op — the highest
-        tick/sweep barrier the router has sent to workers; if it moved
-        past this record's last entry, a tick marker is inserted first
-        so replay reproduces the advance at this position.  ``t`` is the
-        op's own timestamp; it raises ``clock_mark`` (suppressing later
-        markers at or below it) because a barrier advance that cannot
-        exceed the session's last activity can never fire its timeout.
-
-        ``clock_line`` is an optional pre-encoded marker for ``clock``:
-        the router encodes it once per barrier instead of once per
-        journalled op (markers are per *record*, so one barrier can
-        otherwise cost thousands of identical ``json.dumps`` calls).
-        """
-        if clock > self.clock_mark:
-            self.entries.append(
-                (
-                    seq,
-                    clock_line
-                    if clock_line is not None
-                    else json.dumps({"op": "tick", "t": clock}),
-                )
-            )
-            seq += 1
-        self.entries.append((seq, line))
-        self.clock_mark = max(clock, t)
-        return seq + 1
 
 
 def replay_lines(records, extras=(), final_t: float | None = None) -> list[str]:

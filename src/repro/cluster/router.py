@@ -8,6 +8,11 @@ decisions are *byte-identical* to a single-pool run.
 
 Mechanics:
 
+* both hops speak NDJSON.  Each valid ``down``/``move``/``up`` line is
+  canonicalized once at the router — rebuilt in ``json.dumps``'s shape
+  with its stroke namespaced ``client:stroke`` — and an op with a
+  non-finite value is refused at the edge with the same error bytes a
+  worker would send (:mod:`repro.cluster.fastpath`);
 * every session key (``client:stroke``) is consistent-hashed onto a
   shard (:class:`~repro.cluster.ring.HashRing`) and stays there —
   sticky routing, so one session's ops never interleave across workers;
@@ -70,17 +75,12 @@ import asyncio
 import json
 from collections import deque
 from contextlib import suppress
+from itertools import count
+from math import inf, isfinite
 from time import perf_counter
 
 from ..serve import DEFAULT_MAX_LINE, LineReader
-from ..serve.framing import (
-    DEFAULT_MAX_FRAME,
-    FRAME_MAGIC,
-    FrameReader,
-    encode_hello,
-    encode_frames,
-    negotiate,
-)
+from ..serve.framing import negotiate
 from ..serve.protocol import (
     ProtocolError,
     decode_payload,
@@ -95,6 +95,12 @@ from .ring import HashRing
 __all__ = ["Router"]
 
 _NEG_INF = float("-inf")
+
+# The cap on one worker reply line.  Worker replies are trusted output,
+# and a worker's ``stats`` reply grows with its metric count (more so
+# with ``--quality`` histograms), so this hop does not share the client
+# hop's line cap.
+_WORKER_MAX_LINE = 1 << 20
 
 # Error reasons that prove the worker holds no session for the key, so
 # the router's record (and journal) can be dropped with it.
@@ -157,7 +163,6 @@ class _WorkerLink:
         "shard",
         "state",
         "ups",
-        "mode",
         "queue",
         "writer",
         "reader_task",
@@ -172,7 +177,6 @@ class _WorkerLink:
         self.shard = shard
         self.state = "down"
         self.ups = 0
-        self.mode = "ndjson"  # per-link framing, renegotiated each connect
         self.queue: _Mailbox | None = None
         self.writer = None
         self.reader_task: asyncio.Task | None = None
@@ -223,9 +227,7 @@ class Router:
         port: int = 0,
         queue_size: int = 1024,
         max_line: int = DEFAULT_MAX_LINE,
-        max_frame: int = DEFAULT_MAX_FRAME,
         stats_timeout: float = 10.0,
-        worker_framing: str = "lp1",
         metrics=None,
         registry=None,
     ):
@@ -241,15 +243,7 @@ class Router:
         self.port = port
         self.queue_size = queue_size
         self.max_line = max_line
-        self.max_frame = max_frame
         self.stats_timeout = stats_timeout
-        # Framing attempted on the router→worker hop: "lp1" negotiates
-        # length-prefixed frames per link (falling back to NDJSON when a
-        # worker refuses — mixed fleets interoperate); "ndjson" never
-        # negotiates.  The client hop always speaks NDJSON.
-        if worker_framing not in ("ndjson", "lp1"):
-            raise ValueError(f"unknown worker framing: {worker_framing!r}")
-        self.worker_framing = worker_framing
         # Duck-typed: anything with .counter(name).inc(n) and .snapshot().
         self.metrics = metrics
         # Hot-loop counters, resolved once (the generic _count path pays
@@ -271,10 +265,6 @@ class Router:
         # benchmark's router/worker/transport breakdown.
         self._client_in_s = 0.0
         self._worker_in_s = 0.0
-        # Ops routed since the last counter flush: the hot path bumps a
-        # plain int and _handle_client folds it into the metrics counter
-        # once per event batch (and before any stats fan-out reads it).
-        self._ops_pending = 0
         self.links = {shard: _WorkerLink(shard) for shard in self.ring.shards}
         self.sessions: dict[str, SessionRecord] = {}
         self.draining: set[str] = set()
@@ -291,7 +281,9 @@ class Router:
         self._swap_history: list[tuple[int, str, str]] = []
         self._clients: dict[str, _Client] = {}
         self._next_client = 0
-        self._seq = 0
+        # Router-global journal sequence numbers: replay merges a
+        # shard's journals back into their original order by them.
+        self._next_seq = count().__next__
         # The *broadcast* clock: the highest t the router has actually
         # broadcast to workers as a tick/sweep barrier.  Workers advance
         # their pool clocks only at barriers, so this — and only this —
@@ -343,61 +335,17 @@ class Router:
         if self.metrics is not None:
             self.metrics.counter(name).inc(n)
 
-    def _flush_op_count(self) -> None:
-        if self._ops_pending:
-            if self._ops_routed is not None:
-                self._ops_routed.inc(self._ops_pending)
-            self._ops_pending = 0
-
     # -- worker side ---------------------------------------------------------
-
-    async def _negotiate_worker(self, reader, writer) -> str:
-        """One hello round trip; returns the link's framing mode.
-
-        The ack to an accepted ``lp1`` hello is itself the first lp1
-        frame, so the first reply byte disambiguates: the frame magic
-        means the worker switched; anything else is an NDJSON error
-        line from a worker that refused (``--no-lp1``) or predates the
-        framing — the link then stays NDJSON and everything still
-        works, just slower.
-        """
-        writer.write((encode_hello("lp1") + "\n").encode())
-        await writer.drain()
-        first = await reader.readexactly(1)
-        if first[0] == FRAME_MAGIC:
-            length = int.from_bytes(await reader.readexactly(4), "big")
-            payload = await reader.readexactly(length)
-            ack = json.loads(payload)
-            if ack.get("kind") == "hello" and ack.get("framing") == "lp1":
-                return "lp1"
-            raise ConnectionError(f"unexpected lp1 negotiation ack: {ack!r}")
-        await reader.readline()  # the refusal's error line
-        self._count("cluster.lp1_refused")
-        return "ndjson"
 
     async def worker_up(self, shard: str, host: str, port: int) -> None:
         """Connect a (re)started worker and replay its shard's journals.
 
-        Everything between framing negotiation and marking the link up
-        is synchronous, so ops that arrive during the connect (or the
-        negotiation round trip) are journaled and land in the replay,
-        never double-sent.
+        Everything after the connect is synchronous, so ops that arrive
+        during the connect are journaled and land in the replay, never
+        double-sent.
         """
         reader, writer = await asyncio.open_connection(host, port)
-        mode = "ndjson"
-        if self.worker_framing == "lp1":
-            try:
-                mode = await self._negotiate_worker(reader, writer)
-            except asyncio.IncompleteReadError:
-                # The supervisor's retry loop catches OSError; a worker
-                # dying mid-negotiation must look like any other failed
-                # connect, not escape as EOFError.
-                writer.close()
-                raise ConnectionError(
-                    "worker closed during framing negotiation"
-                ) from None
         link = self.links[shard]
-        link.mode = mode
         records = [r for r in self.sessions.values() if r.shard == shard]
         final_t = None if self._clock == _NEG_INF else self._clock
         lines = replay_lines(records, link.extras + link.swaps, final_t=final_t)
@@ -448,38 +396,34 @@ class Router:
 
     async def _worker_writer(self, link: _WorkerLink, writer) -> None:
         queue = link.queue
-        lp1 = link.mode == "lp1"
         with suppress(ConnectionError, asyncio.CancelledError):
             while True:
                 # Coalesce: everything already queued leaves in one
-                # write() — one syscall per pump pass, not per op.
+                # write() — one join and one encode per pump pass.
                 batch = await queue.take()
-                if lp1:
-                    data = encode_frames(line.encode() for line in batch)
-                else:
-                    data = b"".join(line.encode() + b"\n" for line in batch)
-                writer.write(data)
+                batch.append("")  # the last line's newline
+                writer.write("\n".join(batch).encode())
                 await writer.drain()
 
     async def _worker_reader(self, link: _WorkerLink, reader) -> None:
-        if link.mode == "lp1":
-            frames = FrameReader(reader, self.max_frame)
-        else:
-            frames = LineReader(reader, self.max_line)
+        lines = LineReader(reader, _WORKER_MAX_LINE)
         try:
             eof = False
             while not eof:
-                events = await frames.next_batch()
+                events = await lines.next_batch()
                 t0 = perf_counter()
                 for kind, raw in events:
                     if kind == "eof":
                         eof = True
                         break
                     if kind != "line":
-                        # overflow/garbage/truncated: a worker never
-                        # legitimately produces these; drop the event
-                        # and keep the link.
+                        # An overflow.  Only a stats reply can outgrow
+                        # the cap (a decision echoes a stroke id of at
+                        # most the client line cap), so its barrier is
+                        # answered without that worker's numbers rather
+                        # than left to wait out stats_timeout.
                         self._count("cluster.worker_frame_errors")
+                        self._resolve_stats(link, None)
                         continue
                     raw = raw.strip()
                     if not raw:
@@ -509,10 +453,7 @@ class Router:
                 self._count("cluster.swap_acks_dropped")
                 return
             if kind == "stats":
-                if link.pending_stats:
-                    fut = link.pending_stats.popleft()
-                    if not fut.done():
-                        fut.set_result(obj)
+                self._resolve_stats(link, obj)
                 return
             if kind == "released":
                 # The source worker confirmed a migration handoff: every
@@ -555,6 +496,14 @@ class Router:
                 self._close_client(client)
         if self._replies_forwarded is not None:
             self._replies_forwarded.inc(1)
+
+    @staticmethod
+    def _resolve_stats(link: _WorkerLink, reply) -> None:
+        """Answer the link's oldest stats barrier (``None``: no numbers)."""
+        if link.pending_stats:
+            fut = link.pending_stats.popleft()
+            if not fut.done():
+                fut.set_result(reply)
 
     # -- client side ---------------------------------------------------------
 
@@ -614,7 +563,8 @@ class Router:
                     closing = True
                     batch = batch[: batch.index(None)]
                 if batch:
-                    writer.write(b"".join(l.encode() + b"\n" for l in batch))
+                    batch.append("")  # the last line's newline
+                    writer.write("\n".join(batch).encode())
                     await writer.drain()
 
     def _close_client(self, client: _Client) -> None:
@@ -629,15 +579,15 @@ class Router:
     def _route_batch(self, client: _Client, events, start: int):
         """Route one read's worth of client lines, starting at ``start``.
 
-        The canonical ``down``/``move``/``up`` shape takes the splice
-        path inline: no dict is built, the ``client:`` namespace prefix
-        is inserted at the matched offset, the journal append is the
-        pre-encoded marker plus the spliced line, and every per-op
-        ``self``/``client`` attribute read is hoisted into a local once
-        per batch — at router rates the lookups alone are measurable.
-        Anything else falls back to :meth:`_route_line` (with journal
-        and clock state synced around the call), so validation outcomes
-        and error bytes never depend on which path ran.
+        Every ``down``/``move``/``up`` line that ``OP_LINE`` takes —
+        canonical, or with other JSON whitespace — and whose values are
+        finite is rebuilt in the canonical shape with the ``client:``
+        namespace in its stroke (one f-string, which costs less than
+        slicing the line), journaled, and forwarded right here, with
+        every per-op ``self``/``client`` attribute read hoisted into a
+        local once per batch.  Every other line takes
+        :meth:`_route_json`, which hands a valid op back — re-encoded
+        canonically — to the same journal and forward code.
 
         Returns ``(pending, resume)``: ``pending`` is an awaitable only
         when a line fanned out (admin, stats) — the caller awaits it
@@ -646,12 +596,11 @@ class Router:
         match = OP_LINE.match
         sessions = self.sessions
         links = self.links
+        next_seq = self._next_seq
         ns = client.ns
         cid = client.id
         seen = client.seen
-        seq = self._seq
         clock = self._clock
-        clock_line = self._clock_line
         ops = 0
         pending = None
         i = start
@@ -672,24 +621,34 @@ class Router:
                 bline = bline.strip()
                 if not bline:
                     continue
-            line = bline.decode()
-            m = match(line)
-            if m is None:
-                # Sync shared state around the legacy path: it journals
-                # non-canonical ops (``_seq``) and a tick/sweep moves
-                # the broadcast clock.
-                self._seq = seq
-                client.seen = seen
-                pending = self._route_line(client, line)
-                seq = self._seq
-                clock = self._clock
-                clock_line = self._clock_line
-                seen = client.seen
-                if pending is not None:
-                    break
+            try:
+                line = bline.decode()
+            except UnicodeDecodeError as exc:  # decode_request's reply
+                seen = True
+                client.push(encode_error(f"bad json: {exc}"))
                 continue
+            m = match(line)
+            if m is not None:
+                op, stroke, x, y, ts = m.groups()
+                t = float(ts)
+                if isfinite(float(x) + float(y) + t):
+                    forwarded = (
+                        f'{{"op": "{op}", "stroke": "{ns}{stroke}", '
+                        f'"x": {x}, "y": {y}, "t": {ts}}}'
+                    )
+                else:
+                    m = None  # 1e400 and kin: json decides, and rejects
+            if m is None:
+                routed = self._route_json(client, line, not seen)
+                seen = True
+                clock = self._clock  # a tick or sweep moves it
+                if routed is None:
+                    continue
+                if routed.__class__ is not tuple:
+                    pending = routed
+                    break
+                stroke, t, forwarded = routed
             seen = True
-            stroke, ts = m.group(2, 5)
             key = ns + stroke
             record = sessions.get(key)
             if record is None:
@@ -698,15 +657,13 @@ class Router:
                 )
                 record = SessionRecord(key, cid, shard)
                 sessions[key] = record
-            vstart = m.start(2)
-            forwarded = line[:vstart] + ns + line[vstart:]
+            # The journal marker carries the broadcast clock — the
+            # barriers the worker received before this op; the op's own
+            # t is carried by the op line itself, live and in replay.
             entries = record.entries
             if clock > record.clock_mark:
-                entries.append((seq, clock_line))
-                seq += 1
-            entries.append((seq, forwarded))
-            seq += 1
-            t = float(ts)
+                entries.append((next_seq(), self._clock_line))
+            entries.append((next_seq(), forwarded))
             record.clock_mark = clock if clock > t else t
             link = links[record.shard]
             if link.state == "up":
@@ -718,44 +675,36 @@ class Router:
                     queue.event.set()
             ops += 1
         client.seen = seen
-        self._seq = seq
-        if ops:
-            self._ops_pending += ops
-        self._flush_op_count()
+        if ops and self._ops_routed is not None:
+            self._ops_routed.inc(ops)
         return pending, i
 
-    def _route_line(self, client: _Client, line: str):
-        """Route one non-canonical client line the legacy way; returns
-        an awaitable only for ops that fan out (admin, stats).
+    def _route_json(self, client: _Client, line: str, first: bool):
+        """Route one line that :meth:`_route_batch` did not rebuild.
 
-        Everything here decodes to a dict — including valid session ops
-        in non-canonical form (compact separators, reordered keys),
-        which are validated, re-encoded canonically, and journaled
-        exactly as every op was before the splice path existed.
+        Returns ``None`` once the line is handled, an awaitable for the
+        ops that fan out (admin, stats), or ``(stroke, t, forwarded)``
+        for a valid session op — re-encoded canonically with its stroke
+        namespaced — for the caller to journal and forward.  ``first``
+        says whether this is the connection's first line: only there is
+        a ``hello`` a capability probe rather than a late hello.
         """
         try:
             payload = json.loads(line)
         except ValueError as exc:
-            client.seen = True
             client.push(encode_error(f"bad json: {exc}"))
             return None
         if isinstance(payload, dict):
             admin_op = payload.get("op")
             if admin_op in ("cluster", "drain", "scale"):
-                client.seen = True
                 return self._admin(client, payload)
             if admin_op == "hello":
-                # The client hop stays NDJSON (the debuggable compat
-                # path; lp1 runs router↔worker): an ndjson hello acks
-                # as a capability probe, lp1 is refused, and the
-                # connection continues either way.
-                reply, _ = negotiate(
-                    payload, first=not client.seen, allow_lp1=False
-                )
-                client.seen = True
+                # The client hop speaks NDJSON only: an ndjson hello
+                # acks, lp1 is refused, and the connection continues
+                # either way.
+                reply, _ = negotiate(payload, first=first, allow_lp1=False)
                 client.push(reply)
                 return None
-        client.seen = True
         try:
             request = decode_payload(payload)
         except ProtocolError as exc:
@@ -776,19 +725,15 @@ class Router:
         if op == "swap":
             self._route_swap(client, request)
             return None
-        if op == "tick":
+        if op == "tick" or op == "sweep":
             if request.t > self._clock:
                 self._clock = request.t
                 self._clock_line = json.dumps({"op": "tick", "t": self._clock})
             self._broadcast(line)
-            self._count("cluster.ticks_broadcast")
-            return None
-        if op == "sweep":
-            if request.t > self._clock:
-                self._clock = request.t
-                self._clock_line = json.dumps({"op": "tick", "t": self._clock})
+            if op == "tick":
+                self._count("cluster.ticks_broadcast")
+                return None
             self._sweeps_broadcast += 1
-            self._broadcast(line)
             # A worker can die with the sweep queued or sent but not yet
             # processed — death detection is asynchronous, so "up at
             # routing time" proves nothing — and a lost sweep would mean
@@ -799,32 +744,18 @@ class Router:
                 if link.shard not in self.retired:
                     self._journal_sweep(link, line)
             return None
-        # down / move / up in non-canonical form: sticky-route, journal,
-        # forward — via re-encode, exactly as every op was before the
-        # splice path existed.  The journal marker carries the broadcast
-        # clock — the barriers the worker received before this op; the
-        # op's own t is carried by the op line itself, live and in
-        # replay alike.
-        key = f"{client.id}:{request.stroke}"
-        record = self.sessions.get(key)
-        if record is None:
-            shard = self.ring.lookup(key, skip=self.draining | self.retired)
-            record = SessionRecord(key, client.id, shard)
-            self.sessions[key] = record
-        payload["stroke"] = key
-        forwarded = json.dumps(payload)
-        self._seq = record.journal(
-            self._seq,
-            forwarded,
-            clock=self._clock,
-            t=request.t,
-            clock_line=self._clock_line,
+        # A down / move / up that OP_LINE refused: reordered keys, an
+        # escaped stroke, integer overflow of x + y.
+        forwarded = json.dumps(
+            {
+                "op": op,
+                "stroke": client.ns + request.stroke,
+                "x": request.x,
+                "y": request.y,
+                "t": request.t,
+            }
         )
-        link = self.links[record.shard]
-        if link.state == "up":
-            link.queue.put_nowait(forwarded)
-        self._ops_pending += 1
-        return None
+        return request.stroke, request.t, forwarded
 
     def _broadcast(self, line: str) -> None:
         for link in self.links.values():
@@ -867,15 +798,13 @@ class Router:
             }
         )
         self._broadcast(line)
-        # One history entry at the base sequence: per-link journal seqs
-        # are consecutive (no session line lands between them), so any
-        # record entry is entirely before or entirely after this swap —
-        # comparing against the base is exact.
-        self._swap_history.append((self._seq, user_prefix, pinned))
+        # One sequence number for the history entry and every link's
+        # journal entry: each link replays only its own journal.
+        seq = self._next_seq()
+        self._swap_history.append((seq, user_prefix, pinned))
         for link in self.links.values():
             if link.shard not in self.retired:
-                link.swaps.append((self._seq, line))
-                self._seq += 1
+                link.swaps.append((seq, line))
         client.push(encode_swap(request.user, pinned, request.t))
         self._count("cluster.swaps_routed")
 
@@ -903,10 +832,8 @@ class Router:
         if self._clock != _NEG_INF:
             # _clock_line is always current here: it is re-encoded at
             # every barrier that moves _clock off -inf.
-            link.extras.append((self._seq, self._clock_line))
-            self._seq += 1
-        link.extras.append((self._seq, line))
-        self._seq += 1
+            link.extras.append((self._next_seq(), self._clock_line))
+        link.extras.append((self._next_seq(), line))
 
     def force_sweep(self, shard: str, max_idle: float = 0.0) -> None:
         """Send a targeted ``sweep`` to one shard — the drain-deadline
@@ -981,7 +908,7 @@ class Router:
         if not history:
             return None
         key = record.key
-        first = record.entries[0][0] if record.entries else self._seq
+        first = record.entries[0][0] if record.entries else inf
         matched = False
         best_len = -1
         best = ""
@@ -1186,7 +1113,6 @@ class Router:
                 "retired": shard in self.retired,
             }
             info.update(supervisor.get(shard, {}))
-            info["framing"] = link.mode
             shards[shard] = info
         return {
             "shards": shards,

@@ -80,7 +80,6 @@ class Supervisor:
         on_up=None,
         on_down=None,
         registry=None,
-        no_lp1_shards=(),
         quality: bool = False,
         quality_sample: float = 1.0,
         quality_seed: int = 0,
@@ -97,9 +96,6 @@ class Supervisor:
         self.quality_sample = quality_sample
         self.quality_seed = quality_seed
         self.shards = tuple(shards)
-        # Shards spawned with --no-lp1 (NDJSON-only workers) — the
-        # mixed-fleet compat knob; survives restarts of those shards.
-        self.no_lp1_shards = frozenset(no_lp1_shards)
         self.timeout = timeout
         self.max_sessions = max_sessions
         self.heartbeat = heartbeat
@@ -193,7 +189,6 @@ class Supervisor:
             max_sessions=self.max_sessions,
             heartbeat=self.heartbeat,
             registry=self.registry,
-            lp1=shard not in self.no_lp1_shards,
             quality=self.quality,
             quality_sample=self.quality_sample,
             quality_seed=self.quality_seed,

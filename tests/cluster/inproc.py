@@ -4,9 +4,9 @@ Spinning real worker *subprocesses* per hypothesis example is far too
 slow (and makes shrinking miserable), so :class:`InProcessCluster` runs
 the same data plane — a real :class:`~repro.cluster.router.Router` in
 front of N real :class:`~repro.serve.GestureServer` instances — inside
-one event loop, over real TCP sockets.  Nothing is mocked: framing
-negotiation, journaling, replay, migration, drain, join/scale, and
-swap broadcast all run the production code paths.  Only the supervisor
+one event loop, over real TCP sockets.  Nothing is mocked:
+journaling, replay, migration, drain, join/scale, and swap broadcast
+all run the production code paths.  Only the supervisor
 is absent; its duties (restart-on-death, spawn-on-join,
 terminate-on-retire) are played by :meth:`crash`, :meth:`join`, and
 :meth:`drain`, which drive the router through the exact
@@ -60,18 +60,13 @@ class InProcessCluster:
         workers: int = 2,
         *,
         timeout: float = DEFAULT_TIMEOUT,
-        framing: str = "lp1",
-        no_lp1_shards=(),
         registry=None,
     ):
         self.recognizer = recognizer
         self.timeout = timeout
         self.registry = registry
-        self.no_lp1_shards = frozenset(no_lp1_shards)
         self.shards = tuple(f"w{i}" for i in range(workers))
-        self.router = Router(
-            self.shards, registry=registry, worker_framing=framing
-        )
+        self.router = Router(self.shards, registry=registry)
         self.router.drain_hook = self.drain
         self.router.scale_hook = self.scale_to
         self.servers: dict[str, GestureServer] = {}
@@ -106,7 +101,6 @@ class InProcessCluster:
             port=0,
             timeout=self.timeout,
             registry=self.registry,
-            allow_lp1=shard not in self.no_lp1_shards,
         )
         await server.start()
         self.servers[shard] = server
@@ -358,7 +352,7 @@ def _non_op_reply(line: str, first: bool = False):
         return encode_error(str(exc)), None
     if request.op in ("release", "pin"):
         # Migration internals: valid protocol, but the router refuses
-        # them from clients (same bytes as Router._route_line).
+        # them from clients (same bytes as Router._route_json).
         return (
             encode_error(
                 f"internal op: {request.op}",

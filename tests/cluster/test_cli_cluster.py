@@ -69,21 +69,3 @@ def test_cluster_rejects_inverted_scale_bounds(tmp_path):
                 "--max-workers", "2",
             ]
         )
-
-
-def test_drain_timeout_is_hidden_from_help(capsys):
-    # The flag is vestigial: drains migrate live sessions immediately,
-    # so the knob is deprecated and kept out of the documented surface.
-    with pytest.raises(SystemExit):
-        main(["cluster", "--help"])
-    assert "--drain-timeout" not in capsys.readouterr().out
-
-
-def test_drain_timeout_still_parses_with_a_warning(capsys):
-    # Old scripts keep working: the flag parses, warns on stderr, and
-    # changes nothing — the command then fails on its usual validation
-    # (no recognizer source), not on the deprecated flag.
-    with pytest.raises(SystemExit) as exc:
-        main(["cluster", "--workers", "2", "--drain-timeout", "5"])
-    assert "exactly one" in str(exc.value)
-    assert "deprecated" in capsys.readouterr().err

@@ -32,9 +32,11 @@ from repro.synth import gdp_templates
 from .inproc import InProcessCluster, drive_script, reference_script
 from .test_cluster import DT, assert_byte_identical, end_time
 
-# Raw lines for the router's legacy/error paths: unparseable bytes, a
+# Raw lines for the router's json/error paths: unparseable bytes, a
 # non-object, an unknown op, a missing field, a late hello, a bad
-# max_idle.  Expected replies are *derived* (inproc._non_op_reply), not
+# max_idle, and a non-finite x in canonical and in compact form (both
+# match the router's op grammar; only the finiteness check refuses
+# them).  Expected replies are *derived* (inproc._non_op_reply), not
 # hand-written, so these stay in lockstep with the protocol module.
 BAD_LINES = (
     "not json",
@@ -43,6 +45,8 @@ BAD_LINES = (
     '{"op": "down", "stroke": "q", "x": 1, "y": 2}',
     '{"op": "hello", "framing": "lp1"}',
     '{"op": "sweep", "max_idle": -1}',
+    '{"op": "down", "stroke": "q", "x": 1e400, "y": 2.0, "t": 0.5}',
+    '{"op":"down","stroke":"q","x":1e400,"y":2.0,"t":0.5}',
 )
 
 
@@ -117,8 +121,6 @@ def cluster_cases(draw):
         "clients": clients,
         "gestures": draw(st.integers(min_value=1, max_value=2)),
         "seed": draw(st.integers(min_value=0, max_value=2**16)),
-        "framing": draw(st.sampled_from(["lp1", "ndjson"])),
-        "mixed": draw(st.booleans()),
         "crash": crash,
         "drain": drain,
         "join": join,
@@ -166,11 +168,16 @@ def build_script(case, ticks, end_t):
     if case["rawop_at"] is not None:
         i = min(int(case["rawop_at"] * n), n - 1)
         t = ticks[i][0]
-        # A *valid* op in non-canonical form (key order, separators):
-        # must route through the legacy re-encode path and still match.
+        # *Valid* ops in non-canonical form: reordered keys take the
+        # router's json path, compact separators its op grammar; both
+        # are re-encoded canonically and must still match.
         at(
             case["rawop_at"],
             ("raw", '{"t": %r, "op": "down", "stroke": "zz", "x": 4.0, "y": 5.0}' % t),
+        )
+        at(
+            case["rawop_at"],
+            ("raw", '{"op":"down","stroke":"zy","x":4,"y":5.0,"t":%r}' % t),
         )
     for frac, max_idle in case["sweeps"]:
         at(frac, ("sweep", max_idle))
@@ -218,15 +225,9 @@ def _run_case(case, recognizer, registry) -> None:
     script = build_script(case, ticks, end_t)
     expected = reference_script(recognizer, script, registry=registry)
 
-    no_lp1 = ("w0",) if case["mixed"] and case["framing"] == "lp1" else ()
-
     async def run():
         async with InProcessCluster(
-            recognizer,
-            case["workers"],
-            framing=case["framing"],
-            no_lp1_shards=no_lp1,
-            registry=registry,
+            recognizer, case["workers"], registry=registry
         ) as cluster:
             return await drive_script(cluster, script)
 
@@ -240,22 +241,25 @@ def test_differential_cluster_vs_pool(case, cluster_recognizer, diff_registry):
 
 
 def test_differential_pilot(cluster_recognizer, diff_registry):
-    """One fixed, everything-at-once case that always runs: mixed-fleet
-    framing, a crash, a drain, a swap, malformed lines, churn, and a
-    mid-run sweep in a single script.  Debuggable without hypothesis."""
+    """One fixed, everything-at-once case that always runs: a crash, a
+    drain, a swap, malformed and non-finite lines, compact and
+    reordered ops, churn, and a mid-run sweep in a single script.
+    Debuggable without hypothesis."""
     case = {
         "workers": 3,
         "clients": 3,
         "gestures": 2,
         "seed": 23,
-        "framing": "lp1",
-        "mixed": True,
         "crash": (0.35, 1),
         "drain": (0.6, 2),
         "join": 0.45,
         "scale": None,
         "swap": (0.25, 0, "alt"),
-        "bads": [(0.15, BAD_LINES[0]), (0.7, BAD_LINES[4])],
+        "bads": [
+            (0.15, BAD_LINES[0]),
+            (0.55, BAD_LINES[6]),
+            (0.7, BAD_LINES[4]),
+        ],
         "sweeps": [(0.5, 1e9)],
         "churn": [0.4],
         "rawop_at": 0.3,
@@ -272,8 +276,6 @@ def test_differential_scale_cycle_pilot(cluster_recognizer, diff_registry):
         "clients": 3,
         "gestures": 2,
         "seed": 71,
-        "framing": "lp1",
-        "mixed": False,
         "crash": None,
         "drain": None,
         "join": None,

@@ -86,8 +86,6 @@ def modal_cases(draw):
         "clients": draw(st.integers(min_value=2, max_value=3)),
         "gestures": draw(st.integers(min_value=1, max_value=2)),
         "seed": draw(st.integers(min_value=0, max_value=2**16)),
-        "framing": draw(st.sampled_from(["lp1", "ndjson"])),
-        "mixed": draw(st.booleans()),
         "crash": crash,
         "drain": drain,
         "join": None,
@@ -127,15 +125,9 @@ def _run_modal_case(case, recognizers) -> None:
     end_t = end_time(ticks)
     script = build_script(case, ticks, end_t)
     expected = reference_script(recognizer, script)
-    no_lp1 = ("w0",) if case["mixed"] and case["framing"] == "lp1" else ()
 
     async def run():
-        async with InProcessCluster(
-            recognizer,
-            case["workers"],
-            framing=case["framing"],
-            no_lp1_shards=no_lp1,
-        ) as cluster:
+        async with InProcessCluster(recognizer, case["workers"]) as cluster:
             return await drive_script(cluster, script)
 
     replies = asyncio.run(run())
@@ -158,8 +150,6 @@ def test_modal_differential_pilots(family, modal_cluster_recognizers):
         "clients": 3,
         "gestures": 2,
         "seed": 37,
-        "framing": "lp1",
-        "mixed": True,
         "crash": (0.35, 1),
         "drain": (0.6, 2),
         "join": None,

@@ -3,9 +3,7 @@
 A scripted in-process "worker" — a bare asyncio server that records the
 lines it receives and never replies — stands in for the real
 :class:`~repro.serve.GestureServer`, so exactly what a restarted worker
-would be fed is observable directly.  The routers are pinned to
-``worker_framing="ndjson"``: a silent fake cannot answer the lp1 hello,
-and framing negotiation has its own suite (tests/serve/test_framing.py).  Both tests are regressions from
+would be fed is observable directly.  The tests are regressions from
 review findings against the crash-recovery path.
 """
 
@@ -64,7 +62,7 @@ def test_sweep_sent_to_live_worker_is_still_replayed_after_crash():
     # only safe to forget once its effects are in the journal's terminal
     # drops.  The replay for a restarted worker must re-run it.
     async def run():
-        router = Router(["w0"], worker_framing="ndjson")
+        router = Router(["w0"])
         await router.start()
         first, second = FakeWorker(), FakeWorker()
         try:
@@ -109,7 +107,7 @@ def test_sweep_with_no_live_sessions_is_not_journaled():
     # Pruning bound: with nothing to evict on replay, a sweep is dead
     # weight — extras must not grow without bound under periodic sweeps.
     async def run():
-        router = Router(["w0"], worker_framing="ndjson")
+        router = Router(["w0"])
         await router.start()
         try:
             _, writer = await asyncio.open_connection(*router.address)
@@ -139,7 +137,7 @@ def test_markers_carry_broadcast_clock_not_peer_op_timestamps():
     # the op, would fire a motionless timeout the live worker never
     # fired and break byte-identical recovery.
     async def run():
-        router = Router(["w0"], worker_framing="ndjson")
+        router = Router(["w0"])
         await router.start()
         try:
             _, writer = await asyncio.open_connection(*router.address)

@@ -1,6 +1,6 @@
-"""lp1 framing conformance: round-trips, damage, negotiation, interop.
+"""lp1 framing conformance: round-trips, damage, negotiation.
 
-Three layers:
+Two layers:
 
 * :class:`~repro.serve.FrameReader` unit properties — any payload
   (embedded newlines, > 64 KiB) round-trips; truncated, oversized, and
@@ -9,11 +9,10 @@ Three layers:
 * a live :class:`~repro.serve.GestureServer` — negotiation outcomes
   (ack, refusal, unknown, late), damaged frames answered with protocol
   errors while the connection survives, and reply *payloads* identical
-  between an NDJSON and an lp1 connection;
-* mixed-fleet interop — an in-process cluster whose router speaks lp1
-  to some workers and NDJSON to others (``no_lp1_shards``) must be
-  byte-identical at the client to an all-NDJSON fleet and to the
-  single-pool reference.
+  between an NDJSON and an lp1 connection.
+
+The cluster router speaks NDJSON on both of its hops, so no cluster
+test lives here.
 """
 
 from __future__ import annotations
@@ -324,48 +323,3 @@ def test_truncated_lp1_client_does_not_wedge_the_server(directions_recognizer):
 
     replies = _with_server(scenario, directions_recognizer)
     assert json.loads(replies[-1])["kind"] == "commit"
-
-
-# -- mixed-fleet interop ---------------------------------------------------
-
-
-def test_mixed_fleet_is_byte_identical_at_the_client(gdp_recognizer):
-    from repro.cluster import workload_ticks
-    from repro.serve import generate_workload
-    from repro.synth import gdp_templates
-
-    from tests.cluster.inproc import (
-        InProcessCluster,
-        drive_script,
-        reference_script,
-    )
-    from tests.cluster.test_cluster import DT, assert_byte_identical, end_time
-
-    workload = generate_workload(
-        gdp_templates(), clients=4, gestures_per_client=1, seed=5
-    )
-    ticks = workload_ticks(workload, dt=DT)
-    end_t = end_time(ticks)
-    script = [("ops", t, group) for t, group in ticks]
-    script = [item for pair in zip(script, [("tick", t) for t, _ in ticks]) for item in pair]
-    script += [("tick", end_t), ("sweep", 0.0)]
-    expected = reference_script(gdp_recognizer, script)
-
-    def run(framing, no_lp1_shards=()):
-        async def go():
-            async with InProcessCluster(
-                gdp_recognizer,
-                3,
-                framing=framing,
-                no_lp1_shards=no_lp1_shards,
-            ) as cluster:
-                return await drive_script(cluster, script)
-
-        return asyncio.run(go())
-
-    for replies in (
-        run("lp1"),
-        run("ndjson"),
-        run("lp1", no_lp1_shards=("w1",)),  # mixed: w1 falls back
-    ):
-        assert_byte_identical(replies, expected)
