@@ -31,10 +31,8 @@ Negotiation (one round trip, first line only)::
 * ``{"framing": "ndjson"}`` is acked (as NDJSON) and changes nothing —
   a cheap capability probe.
 * An unknown framing, or ``lp1`` against a server that disabled it
-  (``allow_lp1=False`` / ``--no-lp1``), gets an error reply and the
-  connection continues in NDJSON.  The router treats a refusal from a
-  worker as "legacy worker" and falls back per link, so mixed fleets
-  interoperate.
+  (``allow_lp1=False``) or against the cluster router, gets an error
+  reply and the connection continues in NDJSON.
 
 Decode-side error handling mirrors :class:`~repro.serve.lines.LineReader`
 one-for-one — a damaged frame costs one error event, never the
