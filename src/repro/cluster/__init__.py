@@ -28,24 +28,32 @@ migrations, the per-session reply streams are byte-identical to a
 single :class:`~repro.serve.SessionPool` run over the same input order.
 """
 
-from .elastic import Autoscaler, quantile_from_buckets
-from .harness import Cluster, drive_cluster, reference_lines, workload_ticks
-from .journal import SessionRecord, replay_lines
-from .ring import HashRing
-from .router import Router
-from .supervisor import Supervisor, WorkerHandle
+from importlib import import_module
 
-__all__ = [
-    "Autoscaler",
-    "Cluster",
-    "HashRing",
-    "Router",
-    "SessionRecord",
-    "Supervisor",
-    "WorkerHandle",
-    "drive_cluster",
-    "quantile_from_buckets",
-    "reference_lines",
-    "replay_lines",
-    "workload_ticks",
-]
+# Re-exports resolve on first use (PEP 562), so importing the package
+# imports no submodule: ``python -m repro.cluster.worker`` would
+# otherwise load ``worker`` once through ``supervisor`` and run it a
+# second time as ``__main__``.
+_EXPORTS = {
+    "Autoscaler": "elastic",
+    "quantile_from_buckets": "elastic",
+    "Cluster": "harness",
+    "drive_cluster": "harness",
+    "reference_lines": "harness",
+    "workload_ticks": "harness",
+    "SessionRecord": "journal",
+    "replay_lines": "journal",
+    "HashRing": "ring",
+    "Router": "router",
+    "Supervisor": "supervisor",
+    "WorkerHandle": "supervisor",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

@@ -134,12 +134,15 @@ class _Mailbox:
     writers want anyway.  Single-threaded asyncio only: no locks.
     """
 
-    __slots__ = ("items", "event")
+    __slots__ = ("items", "event", "taken")
 
     def __init__(self):
         self.items: list = []
         # Public: the batch router inlines put_nowait (append + set).
         self.event = asyncio.Event()
+        # Set when the consumer takes the queue or is gone (a producer
+        # held over a bound waits on it).
+        self.taken = asyncio.Event()
 
     def put_nowait(self, item) -> None:
         self.items.append(item)
@@ -153,6 +156,7 @@ class _Mailbox:
         batch = self.items
         self.items = []
         self.event.clear()
+        self.taken.set()
         return batch
 
 
@@ -382,6 +386,7 @@ class Router:
             if task is not None and task is not current:
                 task.cancel()
         link.reader_task = link.writer_task = None
+        link.queue.taken.set()  # release clients held by _await_room
         if link.writer is not None:
             link.writer.close()
             link.writer = None
@@ -538,6 +543,7 @@ class Router:
                     await pending
                     t0 = perf_counter()
                 self._client_in_s += perf_counter() - t0
+                await self._await_room()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -548,6 +554,18 @@ class Router:
             with suppress(ConnectionError):
                 await writer.wait_closed()
             self._client_tasks.discard(task)
+
+    async def _await_room(self) -> None:
+        """Hold a client's reads while an up worker's mailbox holds more
+        than ``queue_size`` lines, as many ops as the worker's inbox
+        admits: a worker that falls behind slows its clients instead of
+        growing router memory.  Replay, migration and stats probes
+        queue without this check."""
+        for link in list(self.links.values()):  # a join may add one
+            while link.state == "up" and len(link.queue.items) > self.queue_size:
+                taken = link.queue.taken
+                taken.clear()
+                await taken.wait()
 
     async def _client_writer(self, client: _Client, writer) -> None:
         outbox = client.outbox

@@ -45,7 +45,8 @@ from .pool import DEFAULT_IDLE_TIMEOUT, Decision, SessionPool
 from .protocol import (
     ProtocolError,
     Request,
-    decode_line,
+    decode_block,
+    decode_frame,
     decode_payload,
     decode_request,
     encode_decision,
@@ -75,7 +76,8 @@ __all__ = [
     "Request",
     "SessionPool",
     "compare_modes",
-    "decode_line",
+    "decode_block",
+    "decode_frame",
     "decode_payload",
     "decode_request",
     "encode_decision",

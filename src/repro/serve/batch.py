@@ -156,15 +156,25 @@ class BatchEvaluator:
         else:
             embedded = np.zeros((full_w.shape[0], NUM_FEATURES))
             embedded[:, list(full.feature_indices)] = full_w
-        self._n_auc = recognizer.auc.linear.num_classes
+        n_auc = recognizer.auc.linear.num_classes
         self._comb_wt = np.ascontiguousarray(
             np.concatenate([recognizer.auc.linear.weights, embedded]).T
         )
         self._comb_const = np.concatenate(
             [recognizer.auc.linear.constants, full.linear.constants]
         )
-        self._comb_abs_wt = np.abs(self._comb_wt)
-        self._comb_abs_const = np.abs(self._comb_const)
+        # Per block (AUC, full): its columns, its checked classifier, and
+        # the largest |weight| and |constant| for the row bound.
+        abs_wt = np.abs(self._comb_wt)
+        abs_const = np.abs(self._comb_const)
+        self._blocks = [
+            (lo, hi, checked, abs_wt[:, lo:hi].max(initial=0.0),
+             abs_const[lo:hi].max(initial=0.0))
+            for lo, hi, checked in (
+                (0, n_auc, self._auc),
+                (n_auc, len(self._comb_const), self._full),
+            )
+        ]
 
     @property
     def full_names(self) -> list:
@@ -191,12 +201,8 @@ class BatchEvaluator:
         # sit ten-plus orders of magnitude above either bound.
         row_l1 = np.abs(features).sum(axis=1)
         base = _MARGIN_SLACK * NUM_FEATURES
-        n_auc = self._n_auc
         results = []
-        for lo, hi, checked in (
-            (0, n_auc, self._auc),
-            (n_auc, scores.shape[1], self._full),
-        ):
+        for lo, hi, checked, max_w, max_c in self._blocks:
             block = scores[:, lo:hi]
             winners = np.argmax(block, axis=1)
             if hi - lo == 1:
@@ -204,10 +210,7 @@ class BatchEvaluator:
             else:
                 top2 = np.partition(block, -2, axis=1)[:, -2:]
                 margin = top2[:, 1] - top2[:, 0]
-                magnitude = (
-                    row_l1 * np.max(self._comb_abs_wt[:, lo:hi])
-                    + np.max(self._comb_abs_const[lo:hi])
-                )
+                magnitude = row_l1 * max_w + max_c
                 tolerance = (
                     base * magnitude
                     + checked.static_drift

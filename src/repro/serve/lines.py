@@ -33,11 +33,15 @@ class LineReader:
     * ``"eof"`` — the peer closed the stream.  A non-empty unterminated
       tail is returned as a final ``"line"`` first, matching
       ``readline``'s end-of-stream behaviour.
+
+    With ``blocks``, :meth:`next_batch` may also return ``"block"``:
+    complete lines, each *with* its newline, to decode at once.
     """
 
-    def __init__(self, reader, max_line: int = 65536):
+    def __init__(self, reader, max_line: int = 65536, blocks: bool = False):
         self._reader = reader
         self.max_line = max_line
+        self.blocks = blocks
         self._buf = bytearray()
         self._pos = 0  # consumed prefix of _buf (compacted lazily)
         self._scanned = 0  # no b"\n" between _pos and this offset
@@ -110,9 +114,12 @@ class LineReader:
     async def next_batch(self) -> list[tuple[str, bytes]]:
         """At least one event, plus every further complete line already
         buffered — lets a consumer process a whole read's worth of lines
-        without re-entering the event loop per line."""
+        without re-entering the event loop per line.  With ``blocks``,
+        they come as one ``"block"`` whenever it is no longer than
+        ``max_line``, so that no line in it can overflow."""
         events = [await self.next()]
-        if events[0][0] == "eof":
+        kind, first = events[0]
+        if kind == "eof":
             return events
         # ``next`` only returns outside an oversized line, so every
         # complete line left in the buffer splits off in one C call.
@@ -121,6 +128,11 @@ class LineReader:
         if end < 0:
             return events
         max_line = self.max_line
+        if self.blocks and kind == "line":
+            start = self._pos - len(first) - 1  # ``next`` left it in place
+            if end - start <= max_line:
+                self._pos = self._scanned = end + 1
+                return [("block", bytes(buf[start : end + 1]))]
         for line in bytes(buf[self._pos : end]).split(b"\n"):
             events.append(
                 ("line", line) if len(line) <= max_line else ("overflow", b"")

@@ -65,6 +65,7 @@ pool runs the single-model fast path untouched.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -465,7 +466,7 @@ class SessionPool:
         # a feed or an entry, never both).
         entries: list[tuple] = []  # (feeds-before, tag, ...)
         fed_slots: list[int] = []
-        fed_points: list[tuple] = []  # shared with session.points
+        fed_x, fed_y, fed_t = [], [], []  # the fed points' coordinates
         finish_sessions: list[_Session] = []
         deferred: list[tuple] = []
 
@@ -574,10 +575,11 @@ class SessionPool:
                 # A gesture point: a down's press point or an undecided move.
                 session.last_t = t
                 if batched:
-                    pt = (x, y, t)
-                    session.points.append(pt)
+                    session.points.append((x, y, t))
                     fed_slots.append(session.slot)
-                    fed_points.append(pt)
+                    fed_x.append(x)
+                    fed_y.append(y)
+                    fed_t.append(t)
                 else:
                     session.count = session.count + 1
                     point = Point(x, y, t)
@@ -605,11 +607,14 @@ class SessionPool:
             n_rows = 0
             n_eval = 0
             if fed_slots:
-                slot_arr = np.array(fed_slots)
-                fed_x, fed_y, fed_t = zip(*fed_points)
+                # array() converts in one C loop; frombuffer adds no copy.
+                slot_arr = np.frombuffer(array("q", fed_slots), np.int64)
                 t_feed = perf_counter() if prof is not None else 0.0
                 new_counts = self._bank.add_points(
-                    slot_arr, np.array(fed_x), np.array(fed_y), np.array(fed_t)
+                    slot_arr,
+                    np.frombuffer(array("d", fed_x)),
+                    np.frombuffer(array("d", fed_y)),
+                    np.frombuffer(array("d", fed_t)),
                 )
                 if prof is not None:
                     prof.add(

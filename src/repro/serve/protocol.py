@@ -79,7 +79,8 @@ __all__ = [
     "SAFE_CHAR",
     "ProtocolError",
     "Request",
-    "decode_line",
+    "decode_block",
+    "decode_frame",
     "decode_payload",
     "decode_request",
     "encode_decision",
@@ -117,9 +118,11 @@ JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][+-]?[0-9]+|)"
 
 # A JSON number that ``json.loads`` reads as a float (it has a fraction
 # or an exponent) — every float ``json.dumps`` writes.  An integer
-# literal reads as an ``int``, so "-0" must stay 0.0, not -0.0.
+# literal reads as an ``int``, so "-0" must stay 0.0, not -0.0.  The
+# optional exponent is written ``(?:...|)`` like JSON_NUMBER's (~0.1 us
+# less per line in the server's read decoder on Python 3.11).
 JSON_FLOAT = (
-    r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
+    r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+|)|[eE][+-]?[0-9]+)"
 )
 
 # One character of a splice-safe string value: printable ASCII except
@@ -132,7 +135,7 @@ SAFE_CHAR = r"[ !#-\[\]-~]"
 JSON_WS = r"[ \t\r\n]*"
 
 
-def op_line_pattern(number: str, ws: str | None = None) -> str:
+def op_line_pattern(number: str, ws: str | None = None, end="\\Z") -> str:
     """The ``down``/``move``/``up`` line, in ``json.dumps``'s key order,
     as a regex.
 
@@ -140,8 +143,9 @@ def op_line_pattern(number: str, ws: str | None = None) -> str:
     ``ws`` the separators are exactly ``json.dumps``'s (``", "`` and
     ``": "``): the canonical line.  With ``ws``, any amount of it may
     stand around every ``:`` and ``,`` and inside the braces — the
-    shape ``json.loads`` accepts in this key order.  Groups: 1 op,
-    2 stroke, 3 x, 4 y, 5 t.
+    shape ``json.loads`` accepts in this key order.  ``end`` follows
+    the closing brace (``\\Z``: the match is the whole line).  Groups:
+    1 op, 2 stroke, 3 x, 4 y, 5 t.
     """
     if ws is None:
         colon, comma, inner = ": ", ", ", ""
@@ -149,15 +153,19 @@ def op_line_pattern(number: str, ws: str | None = None) -> str:
         colon, comma, inner = ws + ":" + ws, ws + "," + ws, ws
     return (
         '\\{%s"op"%s"(down|move|up)"%s"stroke"%s"(%s+)"%s"x"%s(%s)'
-        '%s"y"%s(%s)%s"t"%s(%s)%s\\}\\Z'
+        '%s"y"%s(%s)%s"t"%s(%s)%s\\}%s'
         % (
             inner, colon, comma, colon, SAFE_CHAR, comma, colon, number,
-            comma, colon, number, comma, colon, number, inner,
+            comma, colon, number, comma, colon, number, inner, end,
         )
     )
 
 
-_CANONICAL_OP = re.compile(op_line_pattern(JSON_FLOAT).encode()).match
+# One match per request line, in line order: groups 1-5 are a canonical
+# down/move/up line (``op_line_pattern``'s), group 6 is any other line.
+_READ_LINES = re.compile(
+    ("^(?:%s|(.*))\n" % op_line_pattern(JSON_FLOAT, end="")).encode(), re.M
+).findall
 _OP_NAMES = {b"down": "down", b"move": "move", b"up": "up"}
 _PLAIN = re.compile(SAFE_CHAR + "*\\Z").match
 
@@ -169,8 +177,9 @@ class ProtocolError(ValueError):
 class Request:
     """One decoded client request.
 
-    A plain slotted class rather than a dataclass: one is built per op
-    on the serving hot path, positionally (``op, t, stroke, x, y``).
+    A plain slotted class rather than a dataclass, built positionally
+    (``op, t, stroke, x, y``).  The server's read decoder builds one per
+    line it does not take into a run (see :func:`decode_block`).
     """
 
     __slots__ = ("op", "t", "stroke", "x", "y", "max_idle", "user", "model")
@@ -216,25 +225,65 @@ class Request:
         )
 
 
-def decode_line(line: bytes) -> Request:
-    """Decode one request line: :func:`decode_request`, made fast for
-    canonical ``down``/``move``/``up`` lines.
+def decode_block(block: bytes, prefix: str, out: list, errors: list) -> int:
+    """Decode lines that each end in ``\\n`` in one regex pass; return
+    how many requests were appended to ``out``, in line order.
 
-    A canonical line with float literals and finite values becomes a
-    :class:`Request` straight from one regex match; everything else —
-    integer literals, non-finite numbers, escapes, other ops, bad JSON
-    — goes to :func:`decode_request` unchanged, so the result (or the
-    :class:`ProtocolError` message) is always :func:`decode_request`'s.
+    Consecutive canonical ``down``/``move``/``up`` lines with finite
+    values and the same ``t`` *text* become one run ``(t, [(op, prefix
+    + stroke, x, y), ...])`` (so ``-0.0`` never joins ``0.0``); every
+    other line is stripped, skipped when blank, else decoded by
+    :func:`decode_request` into a :class:`Request` or, rejected, into
+    ``errors`` as ``(line, ProtocolError)`` — the same outcome per line.
     """
-    m = _CANONICAL_OP(line)
-    if m is not None:
-        op, stroke, x, y, t = m.groups()
-        x = float(x)
-        y = float(y)
-        t = float(t)
-        if isfinite(x + y + t):
-            return Request(_OP_NAMES[op], t, stroke.decode(), x, y)
-    return decode_request(line)
+    lines = _READ_LINES(block)
+    skipped = 0
+    run_text = None
+    ops = None
+    for op, stroke, x, y, t, line in lines:
+        if op:
+            if t != run_text:
+                run_text = t
+                run_t = float(t)
+                ops = None
+            fx = float(x)
+            fy = float(y)
+            if isfinite(fx + fy + run_t):
+                if ops is None:
+                    ops = []
+                    out.append((run_t, ops))
+                ops.append((_OP_NAMES[op], prefix + stroke.decode(), fx, fy))
+                continue
+            # 1e400 and kin: json decides.  A canonical line is its groups.
+            line = b'{"op": "%s", "stroke": "%s", "x": %s, "y": %s, "t": %s}'
+            line %= (op, stroke, x, y, t)
+        if _decode_other(line, out, errors):
+            ops = None
+        else:
+            skipped += 1
+    return len(lines) - skipped
+
+
+def decode_frame(line: bytes, prefix: str, out: list, errors: list) -> int:
+    """:func:`decode_block` for one line without its newline.  An lp1
+    frame may hold newlines as JSON whitespace: still one request."""
+    if b"\n" in line:
+        return 1 if _decode_other(line, out, errors) else 0
+    return decode_block(line + b"\n", prefix, out, errors)
+
+
+def _decode_other(line: bytes, out: list, errors: list) -> bool:
+    """Strip, skip a blank line, else :func:`decode_request`; True when a
+    request was appended to ``out``."""
+    line = line.strip()
+    if not line:
+        return False
+    try:
+        out.append(decode_request(line))
+    except ProtocolError as exc:
+        errors.append((line, exc))
+        return False
+    return True
 
 
 def decode_request(line: str | bytes) -> Request:

@@ -10,15 +10,17 @@ Concurrency model
 
 All recognition runs on one *pump* task.  Every connection (and every
 in-process channel) pushes decoded requests into one inbox — a
-connection hands over each socket read's requests as one item — and
+connection decodes each socket read in one regex pass
+(:func:`~repro.serve.protocol.decode_block`) into one item, whose
+canonical ops come as pool-ready runs keyed by their ``t`` text — and
 the pump drains whatever has accumulated, applies it to the
 :class:`~repro.serve.SessionPool` as one batch — which is exactly what
 makes the batched evaluator pay off — and routes the resulting decisions
 to per-channel bounded outboxes.  Backpressure is explicit at both ends:
 
-* the inbox is bounded in ops (``queue_size``); while it is full, a
-  producing connection's reader coroutine is suspended (TCP flow
-  control does the rest upstream);
+* the inbox is bounded in ops (``queue_size``; an item carries its op
+  count); while it is full, a producing connection's reader coroutine
+  is suspended (TCP flow control does the rest upstream);
 * a full outbox means the consumer is not reading its replies; rather
   than buffer without bound or stall every other client, the server
   closes that channel.  Each closure only ever affects its own client.
@@ -61,7 +63,8 @@ from .pool import Decision, SessionPool
 from .protocol import (
     ProtocolError,
     Request,
-    decode_line,
+    decode_block,
+    decode_frame,
     encode_decision,
     encode_error,
     encode_stats,
@@ -79,8 +82,28 @@ _CLOSE = object()  # outbox sentinel
 _SESSION_OPS = ("down", "move", "up")
 
 
+def _requests(channel: Channel, items) -> list[Request]:
+    """One read's items with every run expanded into per-op requests."""
+    cut = len(channel.prefix)
+    out = []
+    for item in items:
+        if item.__class__ is tuple:
+            t, ops = item
+            out.extend(Request(op, t, key[cut:], x, y) for op, key, x, y in ops)
+        else:
+            out.append(item)
+    return out
+
+
+def _size(item: tuple) -> int:
+    """Ops in one inbox item: ``(channel, requests)`` from
+    :meth:`Channel.send`, or ``(channel, items, ops)`` for a read whose
+    runs each hold many ops."""
+    return item[2] if len(item) > 2 else len(item[1])
+
+
 class _Inbox(asyncio.Queue):
-    """The pump's inbox of ``(channel, requests)`` items, bounded in ops.
+    """The pump's inbox of channel items, bounded in ops.
 
     A connection queues each read's requests as one item, so a bound on
     items would let the number of queued ops grow with the read size.
@@ -95,11 +118,11 @@ class _Inbox(asyncio.Queue):
 
     def _put(self, item):
         super()._put(item)
-        self.ops += len(item[1])
+        self.ops += _size(item)
 
     def _get(self):
         item = super()._get()
-        self.ops -= len(item[1])
+        self.ops -= _size(item)
         return item
 
     def full(self) -> bool:
@@ -304,7 +327,7 @@ class GestureServer:
             return None
         return channel.prefix + request.stroke
 
-    def _apply(self, batch: list[tuple[Channel, tuple]]) -> None:
+    def _apply(self, batch: list[tuple]) -> None:
         """Apply one pump batch; the clock advances at barriers only.
 
         ``tick`` and ``sweep`` requests split the batch into segments:
@@ -319,9 +342,12 @@ class GestureServer:
         router's crash-replay equivalence rests on.
         """
         if self.observer is not None:
-            self.observer.server_batch(sum(len(item[1]) for item in batch))
-        live = [item for item in batch if not item[0].closed]
+            self.observer.server_batch(sum(_size(item) for item in batch))
+        live = [item[:2] for item in batch if not item[0].closed]
         kills: list = []
+        if self.fault_injector is not None or self._record is not None:
+            # Faults and the journal act per op: expand the runs.
+            live = [(c, _requests(c, items)) for c, items in live]
         if self.fault_injector is not None:
             # Faults act per op: flatten the read batches, mangle them,
             # and carry on with each delivered op as its own item.
@@ -333,38 +359,31 @@ class GestureServer:
             )
             live = [(channel, (request,)) for channel, request in delivered]
         submit = self.pool.submit
-        record = self._record
         latest = self._latest
         dirty = False  # pool input buffered since the last barrier
-        # Consecutive session ops with one timestamp go to the pool as
-        # one chunk (``submit`` is equivalent to one call per op).  A
-        # zero timestamp never joins a chunk, so -0.0 keeps its sign.
-        chunk: list = []
-        chunk_t = 0.0
         stats_requests: list[Channel] = []
         decisions: list[Decision] = []
         released: list[tuple[Channel, str]] = []
-        for channel, requests in live:
+        for channel, items in live:
             prefix = channel.prefix
-            for request in requests:
-                op = request.op
-                if op in _SESSION_OPS:
-                    t = request.t
-                    if chunk and (t != chunk_t or not t):
-                        submit(chunk, chunk_t)
-                        chunk = []
-                    chunk_t = t
-                    key = prefix + request.stroke
-                    chunk.append((op, key, request.x, request.y))
-                    if record is not None:
-                        self._record_op(channel, key, request)
+            for request in items:
+                if request.__class__ is tuple:  # a run: pool-ready ops
+                    t = request[0]
+                    submit(request[1], t)
                     dirty = True
                     if t > latest:
                         latest = t
                     continue
-                if chunk:
-                    submit(chunk, chunk_t)
-                    chunk = []
+                op = request.op
+                if op in _SESSION_OPS:
+                    key = prefix + request.stroke
+                    submit([(op, key, request.x, request.y)], request.t)
+                    if self._record is not None:
+                        self._record_op(channel, key, request)
+                    dirty = True
+                    if request.t > latest:
+                        latest = request.t
+                    continue
                 if op == "stats":
                     stats_requests.append(channel)
                     continue
@@ -397,8 +416,6 @@ class GestureServer:
                     if line is not None:
                         if not channel.closed and not channel._push(line):
                             self._close_channel(channel)
-        if chunk:
-            submit(chunk, chunk_t)
         self._latest = latest
         for key in kills:
             self.pool.kill(
@@ -551,14 +568,17 @@ class GestureServer:
             return encode_error("bad frame magic")
         return encode_error("truncated frame")
 
-    def _bad_request_reply(self, line: bytes, exc: ProtocolError) -> str:
-        """The error reply for one undecodable line.
+    def _bad_request_reply(
+        self, line: bytes, exc: ProtocolError, first: bool
+    ) -> tuple[str, str | None]:
+        """The reply to one undecodable line, and the framing it switches to.
 
-        A ``hello`` arriving after the first line is the one case that
-        deserves a more specific message than ``unknown op: 'hello'`` —
-        framing cannot be renegotiated mid-connection (replies already
-        in flight would straddle the switch), and the error should say
-        so.  Only the (rare) error path pays the re-parse.
+        A ``hello`` is the one op :func:`decode_request` does not know:
+        on a connection's first line it negotiates the framing, and
+        after that it deserves a more specific message than ``unknown
+        op: 'hello'`` — framing cannot be renegotiated mid-connection
+        (replies already in flight would straddle the switch).  Only the
+        (rare) error path pays the re-parse.
         """
         if b'"hello"' in line:
             try:
@@ -566,11 +586,8 @@ class GestureServer:
             except ValueError:
                 payload = None
             if isinstance(payload, dict) and payload.get("op") == "hello":
-                reply, _ = negotiate(
-                    payload, first=False, allow_lp1=self.allow_lp1
-                )
-                return reply
-        return encode_error(str(exc))
+                return negotiate(payload, first=first, allow_lp1=self.allow_lp1)
+        return encode_error(str(exc)), None
 
     async def _handle_connection(self, reader, writer) -> None:
         channel = await self.open_channel()
@@ -578,8 +595,10 @@ class GestureServer:
         drain_task = asyncio.get_running_loop().create_task(
             self._drain_replies(channel, writer, wire)
         )
-        frames = LineReader(reader, self.max_line)
-        first = True  # no event processed yet: a hello can still switch
+        frames = LineReader(reader, self.max_line, blocks=True)
+        prefix = channel.prefix
+        errors: list[tuple[bytes, ProtocolError]] = []
+        first = True  # nothing decoded yet: a hello can still switch
         try:
             eof = False
             while not channel.closed and not eof:
@@ -590,64 +609,44 @@ class GestureServer:
                     events = [await frames.next()]
                 else:
                     events = await frames.next_batch()
-                requests: list[Request] = []  # this read's ops: one put
-                for kind, line in events:
-                    if kind == "eof":
+                items: list = []  # this read's runs and requests: one put
+                ops = 0
+                for kind, data in events:
+                    if kind == "block":
+                        ops += decode_block(data, prefix, items, errors)
+                    elif kind == "line":
+                        ops += decode_frame(data, prefix, items, errors)
+                    elif kind == "eof":
                         eof = True
                         break
-                    if kind != "line":
-                        first = False
+                    else:
                         # One bad line/frame is not a reason to lose
                         # every other in-flight stroke: report it and
                         # keep the connection.
+                        first = False
                         if not channel._push(self._frame_error(kind, wire.mode)):
                             eof = True
                             break
                         continue
-                    # bytes.strip() copies even when there is nothing to
-                    # strip; a canonical line starts with { and ends with }.
-                    if not (line and line[0] == 123 and line[-1] == 125):
-                        line = line.strip()
-                        if not line:
-                            continue
-                    if first:
-                        first = False
-                        if line.startswith(b"{") and b'"hello"' in line:
-                            try:
-                                payload = json.loads(line)
-                            except ValueError:
-                                payload = None
-                            if (
-                                isinstance(payload, dict)
-                                and payload.get("op") == "hello"
-                            ):
-                                reply, new_mode = negotiate(
-                                    payload,
-                                    first=True,
-                                    allow_lp1=self.allow_lp1,
-                                )
-                                if new_mode == "lp1":
-                                    # The ack is the first lp1 frame;
-                                    # bytes the line scanner had already
-                                    # buffered are frames.
-                                    wire.mode = "lp1"
-                                    frames = FrameReader(
-                                        reader,
-                                        self.max_frame,
-                                        initial=frames.take_buffer(),
-                                    )
-                                if not channel._push(reply):
-                                    eof = True
-                                    break
-                                continue
-                    try:
-                        requests.append(decode_line(line))
-                    except ProtocolError as exc:
-                        if not channel._push(self._bad_request_reply(line, exc)):
+                    for line, exc in errors:
+                        reply, mode = self._bad_request_reply(line, exc, first)
+                        if mode == "lp1":
+                            # The ack is the first lp1 frame; bytes the
+                            # line scanner had already buffered are frames.
+                            wire.mode = mode
+                            frames = FrameReader(
+                                reader, self.max_frame, initial=frames.take_buffer()
+                            )
+                        if not channel._push(reply):
                             eof = True
                             break
-                if requests and not channel.closed:
-                    await self._inbox.put((channel, requests))
+                    if ops or errors:
+                        first = False
+                    errors.clear()
+                    if eof:
+                        break
+                if ops and not channel.closed:
+                    await self._inbox.put((channel, items, ops))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:

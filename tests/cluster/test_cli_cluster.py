@@ -3,9 +3,16 @@ byte-identity itself; incompatible observer flags fail fast."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_loadgen_cluster_verifies_byte_identity(capsys):
@@ -69,3 +76,16 @@ def test_cluster_rejects_inverted_scale_bounds(tmp_path):
                 "--max-workers", "2",
             ]
         )
+
+
+def test_worker_module_runs_once():
+    # Importing the package must not import the worker module: runpy
+    # would then warn, and execute it a second time as __main__.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.cluster.worker", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--recognizer" in proc.stdout

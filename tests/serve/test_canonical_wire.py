@@ -1,12 +1,15 @@
 """The canonical-line fast paths against their ``json`` oracles.
 
-``decode_line`` reads canonical ``down``/``move``/``up`` lines with one
-regex and hands everything else to ``decode_request``; ``encode_decision``
-fills a template unless a string needs escaping.  Both must be
-invisible: for every input, the same ``Request`` (or the same
-``ProtocolError`` message) and the same reply bytes as the plain
-``json`` path.  The Hypothesis suites draw many lines per example, so
-the ``deep`` profile scales them like the other fuzzers.
+The server's read decoder (``decode_frame`` for one line, the same
+regex pass ``decode_block`` runs over a whole read) takes canonical
+``down``/``move``/``up`` lines into pool-ready runs and hands everything
+else to ``decode_request``; ``encode_decision`` fills a template unless
+a string needs escaping.  Both must be invisible: for every input, the
+same ``Request`` (or the same ``ProtocolError`` message) and the same
+reply bytes as the plain ``json`` path.  A line is decoded as the server
+always read one: stripped, skipped when blank, else ``decode_request``.
+The Hypothesis suites draw many lines per example, so the ``deep``
+profile scales them like the other fuzzers.
 """
 
 from __future__ import annotations
@@ -18,21 +21,50 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.serve import Decision, ProtocolError, decode_line, decode_request
-from repro.serve.protocol import encode_decision
+from repro.serve import Decision, ProtocolError, Request, decode_request
+from repro.serve.protocol import decode_frame, encode_decision
+
+PREFIX = "c1/"
 
 
-def _outcome(decode, line: bytes):
-    """``("ok", repr)`` or ``("error", message)``; repr tells -0.0 from 0.0."""
+def _oracle(line: bytes):
+    """``[("ok", repr)]``, ``[("error", message)]`` or ``[]`` (a blank
+    line) from ``decode_request``; repr tells -0.0 from 0.0."""
+    line = line.strip()
+    if not line:
+        return []
     try:
-        request = decode(line)
+        return [("ok", repr(decode_request(line)))]
     except ProtocolError as exc:
-        return "error", str(exc)
-    return "ok", repr(request)
+        return [("error", str(exc))]
+
+
+def flatten(out: list, prefix: str = PREFIX) -> list:
+    """The read decoder's items as ``("ok", repr)`` per request: every
+    run op becomes the ``Request`` its line decodes to."""
+    flat = []
+    for item in out:
+        if item.__class__ is tuple:
+            t, ops = item
+            for op, key, x, y in ops:
+                assert key.startswith(prefix)
+                request = Request(op, t, key[len(prefix) :], x, y)
+                flat.append(("ok", repr(request)))
+        else:
+            flat.append(("ok", repr(item)))
+    return flat
+
+
+def _decoded(line: bytes):
+    out, errors = [], []
+    count = decode_frame(line, PREFIX, out, errors)
+    flat = flatten(out)
+    assert count == len(flat)
+    return flat + [("error", str(exc)) for _, exc in errors]
 
 
 def _same(line: bytes) -> None:
-    assert _outcome(decode_line, line) == _outcome(decode_request, line), line
+    assert _decoded(line) == _oracle(line), line
 
 
 # -- decoder: pinned cases ------------------------------------------------------
@@ -60,18 +92,19 @@ def test_number_reprs_decode_like_json(number, field):
 
 def test_canonical_line_takes_the_fast_path():
     line = b'{"op": "down", "stroke": "c7:s1", "x": 1.5, "y": -2.0, "t": 0.25}'
-    request = decode_line(line)
-    assert (request.op, request.stroke, request.x, request.y, request.t) == (
-        "down", "c7:s1", 1.5, -2.0, 0.25,
-    )
-    assert request == decode_request(line)
+    out, errors = [], []
+    assert decode_frame(line, PREFIX, out, errors) == 1
+    assert out == [(0.25, [("down", "c1/c7:s1", 1.5, -2.0)])] and not errors
+    assert flatten(out) == [("ok", repr(decode_request(line)))]
 
 
 def test_integer_minus_zero_stays_positive():
     # json reads "-0" as int 0, so t is 0.0 — never -0.0 — and the fast
     # path must not read it as a float.
     line = b'{"op": "move", "stroke": "s", "x": -0, "y": -0.0, "t": -0}'
-    request = decode_line(line)
+    out, errors = [], []
+    decode_frame(line, PREFIX, out, errors)
+    (request,) = out
     assert math.copysign(1.0, request.x) == 1.0
     assert math.copysign(1.0, request.y) == -1.0
     assert math.copysign(1.0, request.t) == 1.0

@@ -22,7 +22,7 @@ from repro.serve import (
     GestureServer,
     LineReader,
     ProtocolError,
-    decode_line,
+    decode_frame,
     decode_request,
 )
 
@@ -92,10 +92,10 @@ def test_decode_rejects_overflow_and_non_finite(line, message):
     with pytest.raises(ProtocolError) as exc:
         decode_request(line)
     assert str(exc.value) == message
-    # The server's decoder (canonical fast path, same fallback) agrees.
-    with pytest.raises(ProtocolError) as exc:
-        decode_line(line.encode())
-    assert str(exc.value) == message
+    # The server's read decoder (canonical runs, same fallback) agrees.
+    out, errors = [], []
+    assert decode_frame(line.encode(), "c1/", out, errors) == 0
+    assert out == [] and [str(exc) for _, exc in errors] == [message]
 
 
 def test_decode_request_optional_t():
@@ -178,21 +178,33 @@ def test_line_reader_unterminated_tail():
     ),
     tail=st.binary(max_size=24).map(lambda b: b.replace(b"\n", b"")),
     max_line=st.integers(1, 20),
+    blocks=st.booleans(),
     data=st.data(),
 )
-def test_line_reader_batches_equal_single_events(lines, tail, max_line, data):
-    # next_batch splits every buffered line at once; the events must be
-    # exactly the ones next() yields one at a time, however reads fall.
+def test_line_reader_batches_equal_single_events(
+    lines, tail, max_line, blocks, data
+):
+    # next_batch splits every buffered line at once (or hands them over
+    # as one block no longer than max_line); the events must be exactly
+    # the ones next() yields one at a time, however reads fall.
     stream = b"".join(line + b"\n" for line in lines) + tail
     cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(stream) - 1)))))
     bounds = [0, *[c for c in cuts if c < len(stream)], len(stream)]
     chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
 
     async def batched():
-        reader = LineReader(_FeedReader(chunks), max_line)
+        reader = LineReader(_FeedReader(chunks), max_line, blocks=blocks)
         events = []
         while not events or events[-1][0] != "eof":
-            events.extend(await reader.next_batch())
+            for kind, payload in await reader.next_batch():
+                if kind == "block":
+                    assert blocks and len(payload) <= max_line + 1
+                    assert payload.endswith(b"\n")
+                    events.extend(
+                        ("line", line) for line in payload[:-1].split(b"\n")
+                    )
+                else:
+                    events.append((kind, payload))
         return events
 
     assert asyncio.run(batched()) == _drain(
