@@ -305,7 +305,8 @@ class Router:
         # racing a migration is the one thing replay cannot repair.
         self._sweeps_broadcast = 0
         self._server: asyncio.AbstractServer | None = None
-        self._client_tasks: set[asyncio.Task] = set()
+        # Each connected client's handler task and its stream writer.
+        self._client_tasks: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -325,13 +326,18 @@ class Router:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._client_tasks):
-            task.cancel()
-        for task in list(self._client_tasks):
-            with suppress(asyncio.CancelledError):
-                await task
+        # Abort each connected client's transport, so its handler reads
+        # EOF and returns: a handler left to be cancelled makes asyncio
+        # log a CancelledError traceback.  Marking the shards down
+        # releases handlers waiting on a worker (mailbox room, stats).
+        handlers = list(self._client_tasks.items())
+        for client in list(self._clients.values()):
+            self._close_client(client)
+        for _, writer in handlers:
+            writer.transport.abort()
         for shard in self.links:
             self._mark_down(shard)
+        await asyncio.gather(*(task for task, _ in handlers))
 
     # -- metrics -------------------------------------------------------------
 
@@ -517,7 +523,7 @@ class Router:
         client = _Client(f"k{self._next_client}", self.queue_size)
         self._clients[client.id] = client
         task = asyncio.current_task()
-        self._client_tasks.add(task)
+        self._client_tasks[task] = writer
         drain_task = asyncio.get_running_loop().create_task(
             self._client_writer(client, writer)
         )
@@ -553,7 +559,7 @@ class Router:
             writer.close()
             with suppress(ConnectionError):
                 await writer.wait_closed()
-            self._client_tasks.discard(task)
+            self._client_tasks.pop(task, None)
 
     async def _await_room(self) -> None:
         """Hold a client's reads while an up worker's mailbox holds more

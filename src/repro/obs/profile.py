@@ -2,10 +2,10 @@
 
 :class:`PerfProfiler` is a named accumulator of wall-clock section
 timings.  The pool and the batch evaluator wrap their hot sections —
-feature update, fused evaluation, exact fallback, timeout
-classification — in ``perf_counter()`` pairs *only when a profiler is
-attached*, mirroring the one-``is not None``-test-per-site discipline
-the rest of :mod:`repro.obs` uses.  Detached (the default), the hot
+feature update, fused evaluation, exact fallback — in
+``perf_counter()`` pairs *only when a profiler is attached*, mirroring
+the one-``is not None``-test-per-site discipline the rest of
+:mod:`repro.obs` uses.  Detached (the default), the hot
 path contains no clock reads.
 
 Wall-clock numbers are inherently nondeterministic, so the profiler

@@ -27,23 +27,20 @@ paper's evaluation reasons about:
 * **ambiguous dwell** — virtual seconds from the first point to the
   decision: how long the user waited for an answer.
 
-Every number is defined by the scalar replay of the decided gesture
-prefix through :class:`~repro.features.IncrementalFeatures` — the same
-arbiter the batched evaluator's exact-fallback uses — so the numbers
-are bit-identical across the pool's batched and sequential modes and
-independent of any attached tracer.  The serving layer no longer *pays*
-for that replay, though: :meth:`QualityMonitor.decided` accepts the
-decided prefix's feature ``vector`` precomputed by the caller — the
-pool's batched mode hands over the raw O(1)
-:meth:`~repro.serve.bank.FeatureBank.quality_state` snapshot (assembled
-via :func:`~repro.features.vector_from_snapshot` only when scored);
+Every number is defined by the scalar feature vector of the decided
+gesture prefix — what :class:`~repro.features.IncrementalFeatures`
+computes from its points — so the numbers are bit-identical across the
+pool's batched and sequential modes and independent of any attached
+tracer.  Nobody replays the prefix to get it:
+:meth:`QualityMonitor.decided` takes the decided prefix's feature
+``vector`` from the caller.  The pool's batched mode hands over the raw
+O(1) :meth:`~repro.serve.bank.FeatureBank.quality_state` snapshot
+(assembled via :func:`~repro.features.vector_from_snapshot` only when
+scored), which property tests prove bit-identical to a scalar replay;
 sequential mode reads the live :class:`~repro.eager.EagerSession`
-state — and both sources are proven bit-identical to the replay by
-property tests.
-``vector=None`` still replays — the reference path, and the
-compatibility path for callers that only have points.  The monitor is
-pure read-only observation: it never touches the recognizer's state and
-is only ever *called*, never consulted, by the serving layer.
+vector, which *is* the scalar path.  The monitor is pure read-only
+observation: it never touches the recognizer's state and is only ever
+*called*, never consulted, by the serving layer.
 
 For fleets that cannot afford 100 % coverage, ``sample=`` keeps quality
 on a deterministic fraction of sessions: membership is a keyed hash of
@@ -55,20 +52,15 @@ Sampled-out decisions cost one hash and one counter increment
 ``sample_rate`` so ``repro analyze`` can report it and scale counts.
 
 Like the rest of :mod:`repro.obs`, this module imports nothing from
-:mod:`repro.serve`; the pool hands it plain point sequences, duck-typed
-decision records, and plain feature arrays.
+:mod:`repro.serve`; the pool hands it plain timestamps, duck-typed
+decision records, and plain feature arrays or snapshot tuples.
 """
 
 from __future__ import annotations
 
 from hashlib import blake2b
 
-from ..features import (
-    IncrementalFeatures,
-    fold_turn_angles,
-    vector_from_snapshot,
-)
-from ..geometry import Point
+from ..features import fold_turn_angles, vector_from_snapshot
 
 __all__ = ["QualityMonitor", "session_sampled"]
 
@@ -134,30 +126,15 @@ def _assemble(state: tuple) -> np.ndarray:
     )
 
 
-def _replay_vector(points) -> np.ndarray:
-    """The scalar feature vector of a decided prefix.
-
-    Accepts both point shapes the pool stores: ``(x, y, t)`` tuples
-    (batched mode) and :class:`~repro.geometry.Point` (sequential mode).
-    Replaying through :class:`IncrementalFeatures` makes the result the
-    *reference* vector — identical bits in either execution mode.
-    """
-    inc = IncrementalFeatures()
-    for p in points:
-        if type(p) is tuple:
-            p = Point(p[0], p[1], p[2])
-        inc.add_point(p)
-    return inc.vector
-
-
 class QualityMonitor:
     """Per-decision recognition-quality metrics, trace records, drift.
 
     Attach through :class:`~repro.obs.PoolObserver` (``quality=``).  The
     pool calls two hooks:
 
-    * :meth:`decided` with the decided prefix and the ``recog`` decision
-      — margins, distance, and dwell are computed here;
+    * :meth:`decided` with the session's first-point time, the
+      ``recog`` decision and the decided prefix's features — margins,
+      distance, and dwell are computed here;
     * :meth:`closed` when the session reaches a terminal event, with the
       stroke's total point count — eagerness needs the whole stroke.
 
@@ -254,17 +231,14 @@ class QualityMonitor:
 
     # -- hooks (called by the pool) ------------------------------------------
 
-    def decided(self, points, decision, vector=None) -> None:
+    def decided(self, first_t: float, decision, vector) -> None:
         """A session decided: compute margin, distance, and dwell.
 
-        ``vector`` is the decided prefix's feature vector — or the raw
-        accumulator snapshot tuple of
+        ``first_t`` is the time of the session's first point (dwell runs
+        from it to the decision).  ``vector`` is the decided prefix's
+        feature vector — or the raw accumulator snapshot tuple of
         :meth:`~repro.serve.bank.FeatureBank.quality_state`, assembled
-        lazily through :func:`~repro.features.vector_from_snapshot` —
-        when the caller already holds it (the pool's O(1) vectorized
-        sources, proven bit-identical to the replay); ``None`` replays
-        the prefix through :class:`IncrementalFeatures` — the reference
-        formulation, and the path for callers that only have points.
+        lazily through :func:`~repro.features.vector_from_snapshot`.
         """
         key = decision.key
         if not self._sample_all:
@@ -275,21 +249,19 @@ class QualityMonitor:
                 if self.metrics is not None:
                     self._inc_sampled_out()
                 return
-        features = _replay_vector(points) if vector is None else vector
-        first = points[0]
-        dwell = decision.t - (first[2] if type(first) is tuple else first.t)
+        dwell = decision.t - first_t
         name = decision.class_name
         if self._defer:
             # Capture only: the vector (or raw snapshot tuple) is
             # already fresh — every source hands over a new object — so
             # staging is a couple of appends.  Assembly, masking and
             # scoring all happen in flush(), at read time.
-            self._staged.append((features, name, decision.reason, dwell))
+            self._staged.append((vector, name, decision.reason, dwell))
             self._pending[key] = (name, decision.points_seen)
             if len(self._staged) >= _MAX_STAGED:
                 self.flush()
             return
-        margin, d_sq = self._score(features)
+        margin, d_sq = self._score(vector)
         self._account(name, decision.reason, margin, d_sq, dwell)
         record = {
             "class": name,

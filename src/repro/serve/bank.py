@@ -28,32 +28,36 @@ bounded and surfaced to the caller:
   differences everywhere else.
 
 Rows that trip neither check are guaranteed to classify identically to
-the scalar path; rows that do are re-decided sequentially by the pool.
+the scalar path; rows that do are re-decided exactly by the pool, from
+the turn-product log below.
 
-**The quality sidecar.**  The one consumer that needs *value-level*
-bit-identity — :class:`repro.obs.QualityMonitor`, whose margins and
-Mahalanobis distances are pinned byte-for-byte by golden traces — cannot
-read :meth:`features` rows directly, because ``np.arctan2`` /
-``np.hypot`` demonstrably diverge from ``math.atan2`` / ``math.hypot``
-on real coordinates (SIMD libm kernels round differently in the last
-ulp).  Opting in with ``quality=True`` adds a per-slot *log* of the
-turning segments' cross and dot products — numbers the vectorized tick
-already computed, each bit-identical to what the scalar path derives
-from the same accumulators — appended with one scatter per tick.
+**The turn-product log.**  Two consumers need *value-level*
+bit-identity: the pool's exact fallback for risky rows, and
+:class:`repro.obs.QualityMonitor`, whose margins and Mahalanobis
+distances are pinned byte-for-byte by golden traces.  Neither can read
+:meth:`features` rows directly, because ``np.arctan2`` / ``np.hypot``
+demonstrably diverge from ``math.atan2`` / ``math.hypot`` on real
+coordinates (SIMD libm kernels round differently in the last ulp).  So
+the bank keeps a per-slot *log* of the turning segments' cross and dot
+products — numbers the vectorized tick already computed, each
+bit-identical to what the scalar path derives from the same
+accumulators — appended with one scatter per tick.
 :meth:`quality_state` snapshots a slot's raw deltas plus a copy of its
 log; :func:`~repro.features.fold_turn_angles` and
 :func:`~repro.features.vector_from_snapshot` then replay the scalar
 ``math.atan2`` fold (same operands, same order) and assemble the full
-vector with ``math`` operations only, so the result is bit-identical
-to a scalar replay of the slot's points.  The hot path pays a
-vectorized append per tick and two small memcpys per decision; every
-transcendental runs at read time.  The sidecar is write-only extra
-state: the decision path (:meth:`features`, the evaluator, the guard
-flags) never reads it, which is what keeps "attach quality" provably
-decision-neutral.
+vector with ``math`` operations only, so :meth:`quality_vector` is
+bit-identical to a scalar replay of the slot's points, which the bank
+never stores.  The log is a fixed-width shared matrix (``_Q_LOG_WIDTH``
+turns per slot); a stroke that outgrows it moves to a growable buffer
+of its own, so memory follows the products each slot logged, not the
+longest stroke times the capacity.  The decision path (:meth:`features`,
+the evaluator, the guard flags) never reads the log.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -101,32 +105,28 @@ _EMPTY_ROW[_MAX_X] = _EMPTY_ROW[_MAX_Y] = -np.inf
 
 
 class FeatureBank:
-    """Vectorized incremental feature state for ``capacity`` strokes.
+    """Vectorized incremental feature state for ``capacity`` strokes."""
 
-    ``quality=True`` additionally maintains the cross/dot sidecar log
-    that :meth:`quality_state` / :meth:`quality_vector` read; leave it
-    off (the default) and the tick pays nothing for it.
-    """
+    # Turning points per slot in the shared log.  A stroke with more
+    # turns spills to its own buffer (see _spill), so this only bounds
+    # the shared matrix; undecided strokes rarely turn this often.
+    _Q_LOG_WIDTH = 64
 
-    # Initial sidecar log width (turning points per stroke); the log
-    # doubles on demand, so this only sets where growth starts.
-    _Q_LOG_WIDTH = 128
-
-    def __init__(self, capacity: int, *, quality: bool = False):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.quality = quality
         self._state = np.zeros((capacity, _NUM_COLUMNS))
         self._free = list(range(capacity - 1, -1, -1))
-        # The quality sidecar: one row of logged cross/dot products per
-        # slot (column j = the slot's j-th turning point), plus a
-        # per-slot entry count.  Entries beyond a slot's count are
-        # stale garbage from earlier occupants — never read.
-        if quality:
-            self._q_cross = np.zeros((capacity, self._Q_LOG_WIDTH))
-            self._q_dot = np.zeros((capacity, self._Q_LOG_WIDTH))
-            self._q_len = np.zeros(capacity, dtype=np.intp)
+        # The turn-product log: one row of cross/dot products per slot
+        # (column j = the slot's j-th turning point), a per-slot entry
+        # count, and the spilled slots' own buffers.  Entries beyond a
+        # slot's count are stale garbage from earlier occupants — never
+        # read.
+        self._q_cross = np.zeros((capacity, self._Q_LOG_WIDTH))
+        self._q_dot = np.zeros((capacity, self._Q_LOG_WIDTH))
+        self._q_len = np.zeros(capacity, dtype=np.intp)
+        self._q_spill: dict[int, tuple[array, array]] = {}
 
     # -- slot management -----------------------------------------------------
 
@@ -140,13 +140,13 @@ class FeatureBank:
             raise IndexError("feature bank is full")
         slot = self._free.pop()
         self._state[slot] = _EMPTY_ROW
-        if self.quality:
-            self._q_len[slot] = 0
+        self._q_len[slot] = 0
         return slot
 
     def close_slot(self, slot: int) -> None:
         """Release a slot back to the free list."""
         self._free.append(slot)
+        self._q_spill.pop(slot, None)
 
     def counts(self, slots: np.ndarray) -> np.ndarray:
         """Points seen per slot (as floats, straight from the state row)."""
@@ -242,8 +242,7 @@ class FeatureBank:
                 np.add(r[:, _TOTAL_ABS], np.abs(theta), out=blk[:, 1])
                 np.add(r[:, _SHARPNESS], theta * theta, out=blk[:, 2])
                 st[s, _TOTAL_ANGLE : _SHARPNESS + 1] = blk
-                if self.quality:
-                    self._fold_quality(s, cross, dot)
+                self._fold_quality(s, cross, dot)
             elif turning.any():
                 cross = pdx[turning] * dy[turning] - pdy[turning] * dx[turning]
                 dot = pdx[turning] * dx[turning] + pdy[turning] * dy[turning]
@@ -252,8 +251,7 @@ class FeatureBank:
                 st[tgt, _TOTAL_ANGLE] = r[turning, _TOTAL_ANGLE] + theta
                 st[tgt, _TOTAL_ABS] = r[turning, _TOTAL_ABS] + np.abs(theta)
                 st[tgt, _SHARPNESS] = r[turning, _SHARPNESS] + theta * theta
-                if self.quality:
-                    self._fold_quality(tgt, cross, dot)
+                self._fold_quality(tgt, cross, dot)
             moved = seg_sq > 0.0
             if moved.all():
                 blk = np.empty((len(dx), 3))
@@ -330,10 +328,10 @@ class FeatureBank:
         )
         return f, r[:, _COUNT], guard_risk
 
-    # -- the quality sidecar -------------------------------------------------
+    # -- the turn-product log -----------------------------------------------
 
     def _fold_quality(self, tgt: np.ndarray, cross, dot):
-        """Append this tick's turning products to the sidecar log.
+        """Append this tick's turning products to the log.
 
         ``cross``/``dot`` are the turning rows' cross and dot products —
         already computed by the vectorized tick, each bit-identical to
@@ -343,32 +341,58 @@ class FeatureBank:
         means column order per slot is exactly the scalar fold order.
 
         The scatter raises ``IndexError`` when a stroke outgrows the
-        log width; any elements written before the raise land at their
-        final positions, so doubling the log and redoing the identical
-        assignment is safe.
+        shared width; :meth:`_spill` then redoes the tick's appends,
+        which is safe because any element written before the raise
+        already sits at its final position.
         """
         idx = self._q_len[tgt]
-        while True:
-            try:
-                self._q_cross[tgt, idx] = cross
-                self._q_dot[tgt, idx] = dot
-                break
-            except IndexError:
-                width = self._q_cross.shape[1]
-                for name in ("_q_cross", "_q_dot"):
-                    old = getattr(self, name)
-                    new = np.zeros((self.capacity, width * 2))
-                    new[:, :width] = old
-                    setattr(self, name, new)
+        try:
+            self._q_cross[tgt, idx] = cross
+            self._q_dot[tgt, idx] = dot
+        except IndexError:
+            self._spill(tgt, idx, cross, dot)
         self._q_len[tgt] = idx + 1
+
+    def _spill(self, tgt, idx, cross, dot) -> None:
+        """The append path for ticks where some slot's log is full.
+
+        A slot's first entry past the shared width copies its row into
+        a pair of ``array('d')`` buffers that grow with the slot alone;
+        its later entries append there until the slot closes.
+        """
+        inside = idx < self._Q_LOG_WIDTH
+        self._q_cross[tgt[inside], idx[inside]] = cross[inside]
+        self._q_dot[tgt[inside], idx[inside]] = dot[inside]
+        outside = ~inside
+        spill = self._q_spill
+        for slot, c, d in zip(
+            tgt[outside].tolist(),
+            cross[outside].tolist(),
+            dot[outside].tolist(),
+        ):
+            bufs = spill.get(slot)
+            if bufs is None:
+                bufs = spill[slot] = (
+                    array("d", self._q_cross[slot].tobytes()),
+                    array("d", self._q_dot[slot].tobytes()),
+                )
+            bufs[0].append(c)
+            bufs[1].append(d)
+
+    def _log(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """Owned copies of the slot's logged cross and dot products."""
+        n = self._q_len[slot]
+        if n > self._Q_LOG_WIDTH:
+            crosses, dots = self._q_spill[slot]
+            return np.array(crosses), np.array(dots)
+        return self._q_cross[slot, :n].copy(), self._q_dot[slot, :n].copy()
 
     def quality_state(self, slot: int) -> tuple:
         """The slot's raw feature snapshot: nine scalars plus the log.
 
-        Requires a bank built with ``quality=True`` and a slot that has
-        seen at least one point.  The tuple is ``(dx0, dy0, width,
-        height, dxe, dye, total_len, crosses, dots, max_speed_sq,
-        duration)`` — the scalar entries are the deltas
+        Requires a slot that has seen at least one point.  The tuple is
+        ``(dx0, dy0, width, height, dxe, dye, total_len, crosses, dots,
+        max_speed_sq, duration)`` — the scalar entries are the deltas
         :func:`~repro.features.vector_from_snapshot` takes, produced
         with subtractions only (IEEE-exact); ``crosses``/``dots`` are
         owned copies of the slot's turning-product log, from which
@@ -389,7 +413,7 @@ class FeatureBank:
             # A 1-point prefix anchors on its first point (x - x).
             dx0 = fx - fx
             dy0 = fy - fy
-        n = self._q_len[slot]
+        crosses, dots = self._log(slot)
         return (
             dx0,
             dy0,
@@ -398,8 +422,8 @@ class FeatureBank:
             row[_LAST_X] - fx,
             row[_LAST_Y] - fy,
             row[_TOTAL_LEN],
-            self._q_cross[slot, :n].copy(),
-            self._q_dot[slot, :n].copy(),
+            crosses,
+            dots,
             row[_MAX_SPEED_SQ],
             row[_LAST_T] - row[_FIRST_T],
         )

@@ -23,13 +23,14 @@ could break bit-identity:
    accumulated turn-angle features (f9–f11).
 
 Both error sources are *bounded*, and the bounds are cheap to evaluate
-in batch: per row, ``|f| . |w|^T + |b|`` bounds every partial sum of the
-product (source 1), and a per-classifier drift coefficient times the
-row's point count bounds source 2.  Any row whose winning margin falls
-inside the combined bound is flagged ``risky`` and re-decided by the
-caller through the exact sequential path (replaying the stroke through
-:class:`~repro.features.IncrementalFeatures`); every other row's argmax
-is provably unaffected, hence identical.  In practice trained-class
+in batch: per row, ``||f||_1 max|w| + max|b|`` bounds every partial sum
+of the product (source 1), and a per-classifier drift coefficient times
+the row's point count bounds source 2.  Any row whose winning margin
+falls inside the combined bound is flagged ``risky`` and re-decided by
+the caller from the scalar path's exact feature vector (the pool reads
+it from the bank's turn-product log,
+:meth:`~repro.serve.bank.FeatureBank.quality_vector`); every other
+row's argmax is provably unaffected, hence identical.  In practice trained-class
 margins sit ten-plus orders of magnitude above the bound, so the
 fallback triggers essentially never — it exists to turn "almost surely
 identical" into "identical".
@@ -64,69 +65,33 @@ _ANGLE_SUM_FEATURES = (8, 9)
 _ANGLE_SQ_FEATURE = 10
 
 
-class _CheckedLinear:
-    """One classifier's batched scores plus its row-level risk bound."""
+def _drift_bounds(linear, feature_indices) -> tuple[float, float]:
+    """One classifier's drift bound (error source 2) as ``(static,
+    per_point)``: the direction cosines' O(eps) absolute error, and the
+    accumulated angle features' error per point seen."""
+    # Map full-space feature indices into this classifier's columns (a
+    # masked classifier may not see all of them).
+    cols = (
+        list(range(NUM_FEATURES))
+        if feature_indices is None
+        else list(feature_indices)
+    )
+    position = {orig: i for i, orig in enumerate(cols)}
+    absw = np.abs(linear.weights)
 
-    def __init__(self, linear, feature_indices):
-        self.linear = linear
-        self.columns = (
-            None if feature_indices is None else list(feature_indices)
-        )
-        self.weights_t = np.ascontiguousarray(linear.weights.T)
-        self.constants = linear.constants
-        self.abs_weights_t = np.abs(self.weights_t)
-        self.abs_constants = np.abs(self.constants)
+    def weight_of(orig_feature: int) -> np.ndarray:
+        i = position.get(orig_feature)
+        return absw[:, i] if i is not None else 0.0
 
-        # Map full-space feature indices into this classifier's columns
-        # (a masked classifier may not see all of them).
-        cols = self.columns if self.columns is not None else list(
-            range(NUM_FEATURES)
-        )
-        position = {orig: i for i, orig in enumerate(cols)}
-        absw = np.abs(linear.weights)
-
-        def weight_of(orig_feature: int) -> np.ndarray:
-            i = position.get(orig_feature)
-            return absw[:, i] if i is not None else 0.0
-
-        # Drift bound (error source 2), split into a static part (the
-        # direction cosines' O(eps) absolute error) and a per-point part
-        # (the accumulated angle features).  |theta| <= pi bounds the
-        # derivative of theta^2.
-        static = sum(weight_of(i) for i in _DIRECTION_FEATURES) * 4.0 * _EPS
-        per_point = (
-            sum(weight_of(i) for i in _ANGLE_SUM_FEATURES)
-            + weight_of(_ANGLE_SQ_FEATURE) * 2.0 * math.pi
-        ) * _THETA_ULP
-        self.static_drift = float(np.max(static)) if linear.num_classes else 0.0
-        self.per_point_drift = (
-            float(np.max(per_point)) if linear.num_classes else 0.0
-        )
-
-    def decide(
-        self, features: np.ndarray, counts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Winning class indices plus a per-row ``risky`` flag.
-
-        ``features`` is always in the full 13-feature space; the
-        classifier's own column mask is applied here, exactly as
-        ``GestureClassifier.classify_features`` does per vector.
-        """
-        if self.columns is not None:
-            features = features[:, self.columns]
-        scores = features @ self.weights_t + self.constants
-        winners = np.argmax(scores, axis=1)
-        if scores.shape[1] == 1:
-            return winners, np.zeros(len(features), dtype=bool)
-        top2 = np.partition(scores, -2, axis=1)[:, -2:]
-        margin = top2[:, 1] - top2[:, 0]
-        magnitude = np.abs(features) @ self.abs_weights_t + self.abs_constants
-        tolerance = (
-            _MARGIN_SLACK * features.shape[1] * np.max(magnitude, axis=1)
-            + self.static_drift
-            + self.per_point_drift * counts
-        )
-        return winners, margin <= tolerance
+    if not linear.num_classes:
+        return 0.0, 0.0
+    # |theta| <= pi bounds the derivative of theta^2.
+    static = sum(weight_of(i) for i in _DIRECTION_FEATURES) * 4.0 * _EPS
+    per_point = (
+        sum(weight_of(i) for i in _ANGLE_SUM_FEATURES)
+        + weight_of(_ANGLE_SQ_FEATURE) * 2.0 * math.pi
+    ) * _THETA_ULP
+    return float(np.max(static)), float(np.max(per_point))
 
 
 class BatchEvaluator:
@@ -137,11 +102,9 @@ class BatchEvaluator:
         # Optional repro.obs.PerfProfiler, attached by the pool when its
         # observer carries one; None keeps the hot path clock-free.
         self.profiler = None
-        self._auc = _CheckedLinear(recognizer.auc.linear, None)
         full = recognizer.full_classifier
-        self._full = _CheckedLinear(full.linear, full.feature_indices)
         self._complete = recognizer.auc._complete_row_mask
-        self._full_names = full.class_names
+        self.full_names = full.class_names
 
         # For the per-round hot path, both classifiers share one matrix
         # product: the full classifier's (possibly column-masked) weights
@@ -163,22 +126,20 @@ class BatchEvaluator:
         self._comb_const = np.concatenate(
             [recognizer.auc.linear.constants, full.linear.constants]
         )
-        # Per block (AUC, full): its columns, its checked classifier, and
+        # Per block (AUC, full): its column range, its drift bound, and
         # the largest |weight| and |constant| for the row bound.
         abs_wt = np.abs(self._comb_wt)
         abs_const = np.abs(self._comb_const)
+        auc_drift = _drift_bounds(recognizer.auc.linear, None)
+        full_drift = _drift_bounds(full.linear, full.feature_indices)
         self._blocks = [
-            (lo, hi, checked, abs_wt[:, lo:hi].max(initial=0.0),
+            (lo, hi, static, per_point, abs_wt[:, lo:hi].max(initial=0.0),
              abs_const[lo:hi].max(initial=0.0))
-            for lo, hi, checked in (
-                (0, n_auc, self._auc),
-                (n_auc, len(self._comb_const), self._full),
+            for lo, hi, (static, per_point) in (
+                (0, n_auc, auc_drift),
+                (n_auc, len(self._comb_const), full_drift),
             )
         ]
-
-    @property
-    def full_names(self) -> list:
-        return self._full_names
 
     def combined_decisions(
         self,
@@ -189,20 +150,24 @@ class BatchEvaluator:
         """AUC and full-classifier verdicts from one matrix product.
 
         Returns ``(unambiguous, auc_risky, full_winners, full_risky)``,
-        all per row.  Semantics per block match :meth:`auc_decisions` /
-        :meth:`full_decisions`; only the evaluation is fused.
+        all per row.  Where ``auc_risky`` is False, ``unambiguous``
+        equals what ``AmbiguityClassifier.is_unambiguous`` returns for
+        the scalar path's feature vector (the paper's D); where
+        ``full_risky`` is False, ``full_names[full_winners]`` equals
+        ``GestureClassifier.classify_features`` on it.  Risky rows must
+        be re-decided exactly by the caller.
         """
         prof = self.profiler
         t_start = perf_counter() if prof is not None else 0.0
         scores = features @ self._comb_wt + self._comb_const
         # Cheap row bound on any partial sum: ||f||_1 max|w| + max|b|
-        # — looser than the per-class |f|.|w|^T bound the unfused
-        # methods use, but a second matrix product dearer; real margins
-        # sit ten-plus orders of magnitude above either bound.
+        # — looser than a per-class |f|.|w|^T bound, but one matrix
+        # product cheaper; real margins sit ten-plus orders of
+        # magnitude above it.
         row_l1 = np.abs(features).sum(axis=1)
         base = _MARGIN_SLACK * NUM_FEATURES
         results = []
-        for lo, hi, checked, max_w, max_c in self._blocks:
+        for lo, hi, static, per_point, max_w, max_c in self._blocks:
             block = scores[:, lo:hi]
             winners = np.argmax(block, axis=1)
             if hi - lo == 1:
@@ -211,50 +176,10 @@ class BatchEvaluator:
                 top2 = np.partition(block, -2, axis=1)[:, -2:]
                 margin = top2[:, 1] - top2[:, 0]
                 magnitude = row_l1 * max_w + max_c
-                tolerance = (
-                    base * magnitude
-                    + checked.static_drift
-                    + checked.per_point_drift * counts
-                )
+                tolerance = base * magnitude + static + per_point * counts
                 risky = (margin <= tolerance) | guard_risk
             results.append((winners, risky))
         (auc_winners, auc_risky), (full_winners, full_risky) = results
         if prof is not None:
             prof.add("fused_eval", perf_counter() - t_start, len(features))
         return self._complete[auc_winners], auc_risky, full_winners, full_risky
-
-    def auc_decisions(
-        self,
-        features: np.ndarray,
-        counts: np.ndarray,
-        guard_risk: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The paper's D per row: ``(unambiguous, risky)`` boolean arrays.
-
-        Where ``risky`` is False, ``unambiguous`` is guaranteed to equal
-        what ``AmbiguityClassifier.is_unambiguous`` would return for the
-        scalar path's feature vector; risky rows must be re-decided
-        sequentially by the caller.
-        """
-        prof = self.profiler
-        t_start = perf_counter() if prof is not None else 0.0
-        winners, risky = self._auc.decide(features, counts)
-        out = self._complete[winners], risky | guard_risk
-        if prof is not None:
-            prof.add("auc_eval", perf_counter() - t_start, len(features))
-        return out
-
-    def full_decisions(
-        self,
-        features: np.ndarray,
-        counts: np.ndarray,
-        guard_risk: np.ndarray,
-    ) -> tuple[list[str], np.ndarray]:
-        """Full-classifier verdict per row: ``(class_names, risky)``."""
-        prof = self.profiler
-        t_start = perf_counter() if prof is not None else 0.0
-        winners, risky = self._full.decide(features, counts)
-        names = [self._full_names[i] for i in winners]
-        if prof is not None:
-            prof.add("full_eval", perf_counter() - t_start, len(features))
-        return names, risky | guard_risk

@@ -44,23 +44,26 @@ fires, its decision stamped at ``last_t + timeout``.
 
 Two execution modes, one contract.  ``batched=False`` advances each
 session through its own :class:`~repro.eager.EagerSession` — the
-reference path.  ``batched=True`` keeps all feature state in a
-:class:`~repro.serve.bank.FeatureBank` and decides every session with
-one matrix product per round via
+reference path, kept apart from the optimized engine as the oracle the
+equivalence suites compare against.  ``batched=True`` keeps all feature
+state in a :class:`~repro.serve.bank.FeatureBank` and decides every
+session with one matrix product per model per round via
 :class:`~repro.serve.batch.BatchEvaluator`; rows the evaluator cannot
-*prove* unaffected by vectorization are re-decided here by replaying the
-stored gesture prefix through the scalar path.  The decision streams of
-the two modes are identical, element for element.
+*prove* unaffected by vectorization are re-decided here from the bank's
+exact feature vector (:meth:`~repro.serve.bank.FeatureBank.quality_vector`,
+bit-identical to the scalar path's), so no session stores its points.
+The decision streams of the two modes are identical, element for
+element.
 
 Hot model swaps (:meth:`SessionPool.swap_model`) bind a key *prefix* —
 in serving terms, a user — to a different recognizer.  A session pins
 its model when it opens and keeps it until commit, so a swap takes
 effect for the user's next stroke, never mid-gesture; every other
 session's decision stream is byte-identical to a run without the swap,
-because batched evaluation partitions rows by model and the evaluator's
-decisions are provably independent of batch composition (risky rows
-fall back to the scalar path).  Until the first swap is applied the
-pool runs the single-model fast path untouched.
+because every evaluation groups rows by their pinned model (a
+single-model pool is one group) and the evaluator's decisions are
+provably independent of batch composition (risky rows fall back to the
+exact path).
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ import numpy as np
 
 from ..eager import EagerRecognizer, EagerSession
 from ..events import VirtualClock
-from ..features import IncrementalFeatures
 from ..geometry import Point
 from ..interaction import DEFAULT_TIMEOUT
 from .bank import FeatureBank
@@ -87,6 +89,8 @@ DEFAULT_IDLE_TIMEOUT = 30.0
 
 # Entry tags used inside a processing round (see _run_round).
 _ERROR, _DECIDED, _FINISH, _COMMIT, _KILL, _RELEASE = 0, 1, 2, 3, 4, 5
+
+_NO_SLOTS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -109,14 +113,19 @@ class _PoolModel:
     Sessions reference a ``_PoolModel`` (pinned at open), and swaps to
     the same recognizer object share one instance — many users swapping
     to one registry-cached candidate cost one evaluator, not N.
+    ``index`` is unique per instance; the batched pool records it per
+    slot to group evaluation rows by model.
     """
 
-    __slots__ = ("recognizer", "evaluator", "label")
+    __slots__ = ("recognizer", "evaluator", "label", "index")
 
-    def __init__(self, recognizer: EagerRecognizer, evaluator, label: str):
+    def __init__(
+        self, recognizer: EagerRecognizer, evaluator, label: str, index: int
+    ):
         self.recognizer = recognizer
         self.evaluator = evaluator
         self.label = label
+        self.index = index
 
 
 class _Session:
@@ -125,7 +134,7 @@ class _Session:
     __slots__ = (
         "key",
         "slot",
-        "points",
+        "first_t",
         "eseq",
         "decided",
         "class_name",
@@ -143,7 +152,7 @@ class _Session:
         self.stamp = 0
         self.model: _PoolModel | None = None
         self.slot: int | None = None
-        self.points: list = []  # Point (sequential) or (x, y, t) (batched)
+        self.first_t = t  # the press point's time: dwell is measured from it
         self.eseq: EagerSession | None = None
         self.decided = False
         self.class_name: str | None = None
@@ -180,9 +189,9 @@ class SessionPool:
         self.batched = batched
         self.observer = observer
         # Optional extensions carried by the observer (duck-typed, both
-        # default-off): a QualityMonitor fed decided prefixes, and a
-        # PerfProfiler timing the hot sections.  Cached here so the hook
-        # sites stay one `is not None` test each.
+        # default-off): a QualityMonitor fed each decision's features,
+        # and a PerfProfiler timing the hot sections.  Cached here so the
+        # hook sites stay one `is not None` test each.
         self._quality = getattr(observer, "quality", None)
         self._profiler = getattr(observer, "profiler", None)
         # Hot-swap hook, optional like the extensions above.
@@ -191,32 +200,17 @@ class SessionPool:
         # Insertion-ordered view of sessions still collecting a gesture:
         # the motionless-timeout scan never visits decided sessions.
         self._undecided: dict[str, _Session] = {}
-        # With quality attached the bank maintains its scalar-theta
-        # sidecar, so decided prefixes get O(1) bit-exact feature
-        # vectors instead of per-decision scalar replays.
-        self._bank = (
-            FeatureBank(max_sessions, quality=self._quality is not None)
-            if batched
-            else None
-        )
-        self._evaluator = BatchEvaluator(recognizer) if batched else None
-        if self._evaluator is not None:
-            self._evaluator.profiler = self._profiler
+        self._bank = FeatureBank(max_sessions) if batched else None
         # Model table for hot swaps.  `_assign` maps a key prefix to the
         # model its new sessions pin; `_model_cache` (keyed by recognizer
         # object identity) shares one evaluator across prefixes swapped
-        # to the same recognizer.  `_swapped` gates the grouped-eval
-        # path: until a swap is applied, evaluation is the single-model
-        # fast path, byte for byte.  `_min_floor` is the smallest
-        # min_points over every resident model — the candidate prefilter
-        # bound; per-session thresholds re-check exactly.
-        self._default_model = _PoolModel(recognizer, self._evaluator, "")
+        # to the same recognizer.
+        self._models_made = 0
+        self._default_model = self._new_model(recognizer, "")
         self._model_cache: dict[int, _PoolModel] = {
             id(recognizer): self._default_model
         }
         self._assign: dict[str, _PoolModel | str] = {}
-        self._swapped = False
-        self._min_floor = recognizer.min_points
         # Bound on *swapped-in* models resident at once (the default
         # model is never counted or evicted).  Past the bound the
         # least-recently-used model is dropped and its prefix
@@ -233,9 +227,13 @@ class SessionPool:
         # how a migrated-in session keeps the model it originally
         # opened under, regardless of swaps applied here since.
         self._pins: dict[str, _PoolModel] = {}
-        # Slot -> session table, so the candidate scan after a batched
-        # tick recovers sessions without any per-operation bookkeeping.
+        # Per-slot tables, so the candidate scan after a batched tick
+        # works without any per-operation bookkeeping: the session, its
+        # model's min_points (the eager prefilter is exact per slot), and
+        # its model's index (rows group by model without a Python loop).
         self._slot_session: list = [None] * max_sessions if batched else []
+        self._slot_min = np.zeros(max_sessions if batched else 0)
+        self._slot_model = np.zeros(max_sessions if batched else 0, np.intp)
         self._ops: list[tuple] = []  # (t, ops-chunk) pairs
         self._round_id = 0
         # Lower bound on any undecided session's last activity: the
@@ -385,23 +383,23 @@ class SessionPool:
         self._scan_floor = floor
         if expired:
             quality = self._quality
-            names = self._classify_full(expired)
+            if self.batched:
+                slots = np.array([s.slot for s in expired], dtype=np.int64)
+                _, names, n_fallbacks = self._evaluate(expired, slots, 0)
+                obs = self.observer
+                if obs is not None:
+                    obs.timeout_round(len(expired), n_fallbacks)
+            else:
+                names = [s.eseq.finish() for s in expired]
             for session, name in zip(expired, names):
                 self._decide(session, name, eager=False)
-                decision = Decision(
-                    key=session.key,
-                    kind="recog",
-                    t=session.last_t + self.timeout,
-                    class_name=name,
-                    eager=False,
-                    points_seen=session.count,
-                    total_points=session.count,
-                    reason="timeout",
+                decision = self._record(
+                    session, "recog", session.last_t + self.timeout, "timeout"
                 )
                 out.append(decision)
                 if quality is not None:
                     quality.decided(
-                        session.points, decision, self._quality_vector(session)
+                        session.first_t, decision, self._quality_vector(session)
                     )
         obs = self.observer
         if obs is not None and out:
@@ -415,27 +413,8 @@ class SessionPool:
         stale = [
             s for s in self._sessions.values() if now - s.last_t >= max_idle
         ]
-        quality = self._quality
         for session in stale:
-            if self.batched and not session.decided:
-                session.count = self._bank.count_of(session.slot)
-            self._remove(session)
-            out.append(
-                Decision(
-                    key=session.key,
-                    kind="evict",
-                    t=now,
-                    class_name=session.class_name,
-                    eager=session.eager,
-                    points_seen=session.decided_points,
-                    total_points=session.count,
-                    reason="idle",
-                )
-            )
-            if quality is not None:
-                quality.closed(
-                    session.key, session.decided_points + session.manip
-                )
+            out.append(self._evict(session, now, "idle"))
         obs = self.observer
         if obs is not None and out:
             obs.decisions(out)
@@ -456,7 +435,6 @@ class SessionPool:
         """
         sessions = self._sessions
         batched = self.batched
-        min_points = self._min_floor
         stamp = self._round_id = self._round_id + 1
         sget = sessions.get
         obs = self.observer
@@ -501,18 +479,16 @@ class SessionPool:
                     session = _Session(key, t)
                     session.stamp = stamp
                     pinned = self._pins.pop(key, None) if self._pins else None
-                    session.model = (
-                        pinned
-                        if pinned is not None
-                        else self._model_for(key)
-                        if self._swapped
-                        else self._default_model
+                    model = session.model = (
+                        pinned if pinned is not None else self._model_for(key)
                     )
                     if batched:
-                        session.slot = self._bank.open_slot()
-                        self._slot_session[session.slot] = session
+                        slot = session.slot = self._bank.open_slot()
+                        self._slot_session[slot] = session
+                        self._slot_min[slot] = model.recognizer.min_points
+                        self._slot_model[slot] = model.index
                     else:
-                        session.eseq = session.model.recognizer.session()
+                        session.eseq = model.recognizer.session()
                     sessions[key] = session
                     self._undecided[key] = session
                     if t < self._scan_floor:
@@ -575,37 +551,33 @@ class SessionPool:
                 # A gesture point: a down's press point or an undecided move.
                 session.last_t = t
                 if batched:
-                    session.points.append((x, y, t))
                     fed_slots.append(session.slot)
                     fed_x.append(x)
                     fed_y.append(y)
                     fed_t.append(t)
                 else:
                     session.count = session.count + 1
-                    point = Point(x, y, t)
-                    session.points.append(point)
-                    decided = session.eseq.add_point(point)
+                    decided = session.eseq.add_point(Point(x, y, t))
                     if decided is not None:
                         entries.append(
                             (len(fed_slots), _DECIDED, session, t, decided)
                         )
 
-        # Batched math: one vectorized tick, then one feature gather and
-        # one fused matrix product over every eager candidate (a fed
-        # session with enough points — found from the bank's counts, not
-        # per-operation bookkeeping) and every finishing session.
+        # Batched math: one vectorized tick, then one evaluation over
+        # every eager candidate (a fed session with at least its model's
+        # min_points — found from the bank's counts, not per-operation
+        # bookkeeping) and every finishing session.
         unamb_rows: list[int] = []
         eval_sessions: list[_Session] = []
         cand = None  # candidates' indices into the fed arrays
         names: list[str] = []
-        n_unambiguous = 0
         if batched:
             timing = obs is not None
             prof = self._profiler
             t_start = perf_counter() if timing else 0.0
             n_fallbacks = 0
             n_rows = 0
-            n_eval = 0
+            cand_slots = _NO_SLOTS
             if fed_slots:
                 # array() converts in one C loop; frombuffer adds no copy.
                 slot_arr = np.frombuffer(array("q", fed_slots), np.int64)
@@ -622,94 +594,22 @@ class SessionPool:
                         perf_counter() - t_feed,
                         len(fed_slots),
                     )
-                cand = np.flatnonzero(new_counts >= min_points)
-                n_eval = len(cand)
-                if n_eval:
+                cand = np.flatnonzero(new_counts >= self._slot_min[slot_arr])
+                if len(cand):
                     cand_slots = slot_arr[cand]
                     table = self._slot_session
                     eval_sessions = [table[s] for s in cand_slots.tolist()]
-                    if self._swapped:
-                        # min_points is the floor over all resident
-                        # models; re-check each candidate against its
-                        # own model's threshold.
-                        keep = [
-                            j
-                            for j, s in enumerate(eval_sessions)
-                            if new_counts[cand[j]]
-                            >= s.model.recognizer.min_points
-                        ]
-                        if len(keep) != n_eval:
-                            cand = cand[keep]
-                            cand_slots = slot_arr[cand]
-                            eval_sessions = [eval_sessions[j] for j in keep]
-                            n_eval = len(cand)
-            if n_eval or finish_sessions:
-                if finish_sessions:
-                    finish_slots = np.array([s.slot for s in finish_sessions])
-                    row_slots = (
-                        np.concatenate([cand_slots, finish_slots])
-                        if n_eval
-                        else finish_slots
-                    )
-                else:
-                    row_slots = cand_slots
-                features, counts, guard_risk = self._bank.features(row_slots)
+            if eval_sessions or finish_sessions:
                 rows = eval_sessions + finish_sessions
-                if self._swapped:
-                    (
-                        unambiguous,
-                        auc_risky,
-                        full_winners,
-                        full_risky,
-                    ) = self._eval_rows_grouped(
-                        rows, features, counts, guard_risk
+                row_slots = cand_slots
+                if finish_sessions:
+                    row_slots = np.concatenate(
+                        [cand_slots, [s.slot for s in finish_sessions]]
                     )
-                else:
-                    (
-                        unambiguous,
-                        auc_risky,
-                        full_winners,
-                        full_risky,
-                    ) = self._evaluator.combined_decisions(
-                        features, counts, guard_risk
-                    )
-                if n_eval:
-                    eager_unambiguous = unambiguous[:n_eval]
-                    auc_replays = np.flatnonzero(auc_risky[:n_eval])
-                    n_fallbacks += len(auc_replays)
-                    if len(auc_replays):
-                        t_fb = perf_counter() if prof is not None else 0.0
-                        for i in auc_replays:
-                            eager_unambiguous[i] = eval_sessions[
-                                i
-                            ].model.recognizer.auc.is_unambiguous(
-                                self._replay_vector(eval_sessions[i])
-                            )
-                        if prof is not None:
-                            prof.add(
-                                "exact_fallback",
-                                perf_counter() - t_fb,
-                                len(auc_replays),
-                            )
-                    unamb_rows = np.flatnonzero(eager_unambiguous).tolist()
-                # Full classification: unambiguous candidates (in row
-                # order), then finishers — `names` keeps that layout.
-                n_unambiguous = len(unamb_rows)
-                full_names = self._evaluator.full_names
-                swapped = self._swapped
+                unamb_rows, names, n_fallbacks = self._evaluate(
+                    rows, row_slots, len(eval_sessions)
+                )
                 n_rows = len(rows)
-                for r_i in unamb_rows + list(range(n_eval, n_rows)):
-                    if full_risky[r_i]:
-                        n_fallbacks += 1
-                        names.append(self._fallback_full(rows[r_i]))
-                    elif swapped:
-                        names.append(
-                            rows[r_i].model.evaluator.full_names[
-                                full_winners[r_i]
-                            ]
-                        )
-                    else:
-                        names.append(full_names[full_winners[r_i]])
             if timing and (fed_slots or n_rows):
                 obs.batch_round(
                     len(fed_slots), n_rows, n_fallbacks, perf_counter() - t_start
@@ -720,7 +620,7 @@ class SessionPool:
         # cand[j]; an entry recorded after f feeds precedes feed f.
         entry_i = 0
         n_entries = len(entries)
-        next_finish = iter(names[n_unambiguous:])
+        next_finish = iter(names[len(unamb_rows):])
         quality = self._quality
         for k, j in enumerate(unamb_rows):
             p = cand[j]
@@ -729,11 +629,11 @@ class SessionPool:
                 entry_i += 1
             session = eval_sessions[j]
             self._decide(session, names[k], eager=True)
-            decision = self._recog(session, session.last_t, "eager")
+            decision = self._record(session, "recog", session.last_t, "eager")
             out.append(decision)
             if quality is not None:
                 quality.decided(
-                    session.points,
+                    session.first_t,
                     decision,
                     self._bank.quality_state(session.slot),
                 )
@@ -752,11 +652,11 @@ class SessionPool:
         elif tag == _DECIDED:
             _, _, session, t, name = entry
             self._decide(session, name, eager=True)
-            decision = self._recog(session, t, "eager")
+            decision = self._record(session, "recog", t, "eager")
             out.append(decision)
             if quality is not None:
                 quality.decided(
-                    session.points, decision, session.eseq.feature_vector
+                    session.first_t, decision, session.eseq.feature_vector
                 )
         elif tag == _FINISH:
             _, _, session, t = entry
@@ -765,54 +665,23 @@ class SessionPool:
             else:
                 name = session.eseq.finish()
             self._decide(session, name, eager=False)
-            decision = self._recog(session, t, "up")
+            decision = self._record(session, "recog", t, "up")
             out.append(decision)
             if quality is not None:
                 quality.decided(
-                    session.points, decision, self._quality_vector(session)
+                    session.first_t, decision, self._quality_vector(session)
                 )
             self._remove(session)
-            out.append(self._commit(session, t))
-            if quality is not None:
-                quality.closed(
-                    session.key, session.decided_points + session.manip
-                )
+            out.append(self._record(session, "commit", t))
         elif tag == _COMMIT:
             _, _, session, t = entry
             self._remove(session)
-            out.append(self._commit(session, t))
-            if quality is not None:
-                quality.closed(
-                    session.key, session.decided_points + session.manip
-                )
+            out.append(self._record(session, "commit", t))
         elif tag == _KILL:
             _, _, session, t = entry
-            if self.batched and not session.decided:
-                session.count = self._bank.count_of(session.slot)
-            self._remove(session)
-            out.append(
-                Decision(
-                    key=session.key,
-                    kind="evict",
-                    t=t,
-                    class_name=session.class_name,
-                    eager=session.eager,
-                    points_seen=session.decided_points,
-                    total_points=session.count,
-                    reason="killed",
-                )
-            )
-            if quality is not None:
-                quality.closed(
-                    session.key, session.decided_points + session.manip
-                )
+            out.append(self._evict(session, t, "killed"))
         else:  # _RELEASE: the session migrated away — forget, emit nothing
-            _, _, session, _t = entry
-            self._remove(session)
-            if quality is not None:
-                quality.closed(
-                    session.key, session.decided_points + session.manip
-                )
+            self._remove(entry[2])
 
     # -- helpers -------------------------------------------------------------
 
@@ -823,20 +692,22 @@ class SessionPool:
         cache = self._model_cache
         model = cache.get(id(recognizer))
         if model is None:
-            evaluator = BatchEvaluator(recognizer) if self.batched else None
-            if evaluator is not None:
-                evaluator.profiler = self._profiler
-            model = _PoolModel(recognizer, evaluator, label)
-            cache[id(recognizer)] = model
+            model = cache[id(recognizer)] = self._new_model(recognizer, label)
             self._evict_models()
         else:
             model.label = label
             if self._max_models is not None and model is not self._default_model:
                 # Refresh recency: dict order is the LRU order.
                 cache[id(recognizer)] = cache.pop(id(recognizer))
-        if recognizer.min_points < self._min_floor:
-            self._min_floor = recognizer.min_points
         return model
+
+    def _new_model(self, recognizer: EagerRecognizer, label: str) -> _PoolModel:
+        evaluator = None
+        if self.batched:
+            evaluator = BatchEvaluator(recognizer)
+            evaluator.profiler = self._profiler
+        self._models_made += 1
+        return _PoolModel(recognizer, evaluator, label, self._models_made)
 
     def _evict_models(self) -> None:
         """Drop least-recently-used swapped-in models past the bound.
@@ -845,9 +716,6 @@ class SessionPool:
         :meth:`_model_for` reloads the label through ``model_loader`` on
         the next session open.  Sessions in flight keep their direct
         model reference, so eviction never touches a live gesture.
-        ``_min_floor`` is left alone — stale-low only over-selects
-        candidates (each is re-checked against its own model's exact
-        threshold); raising it could miss a decision.
         """
         bound = self._max_models
         if bound is None:
@@ -873,7 +741,6 @@ class SessionPool:
         self, prefix: str, recognizer: EagerRecognizer, label: str, t: float
     ) -> None:
         self._assign[prefix] = self._resident_model(recognizer, label)
-        self._swapped = True
         if self._on_swap is not None:
             self._on_swap(prefix, label, t)
 
@@ -882,9 +749,6 @@ class SessionPool:
             self._pins[key] = self._default_model
             return
         self._pins[key] = self._resident_model(recognizer, label)
-        # A pinned non-default model must route evaluation through the
-        # grouped path even if no swap ever ran here.
-        self._swapped = True
 
     def _model_for(self, key: str) -> _PoolModel:
         """The model a session opening under ``key`` pins (longest prefix)."""
@@ -922,10 +786,12 @@ class SessionPool:
         session.decided_points = session.count
         self._undecided.pop(session.key, None)
 
-    def _recog(self, session: _Session, t: float, reason: str) -> Decision:
+    def _record(
+        self, session: _Session, kind: str, t: float, reason: str = ""
+    ) -> Decision:
         return Decision(
             key=session.key,
-            kind="recog",
+            kind=kind,
             t=t,
             class_name=session.class_name,
             eager=session.eager,
@@ -934,130 +800,108 @@ class SessionPool:
             reason=reason,
         )
 
-    def _commit(self, session: _Session, t: float) -> Decision:
-        return Decision(
-            key=session.key,
-            kind="commit",
-            t=t,
-            class_name=session.class_name,
-            eager=session.eager,
-            points_seen=session.decided_points,
-            total_points=session.count,
-        )
+    def _evict(self, session: _Session, t: float, reason: str) -> Decision:
+        """Drop a session at ``t`` (killed or idle) and report it."""
+        if self.batched and not session.decided:
+            session.count = self._bank.count_of(session.slot)
+        self._remove(session)
+        return self._record(session, "evict", t, reason)
 
     def _remove(self, session: _Session) -> None:
+        """Forget a session that reached a terminal event."""
         del self._sessions[session.key]
         self._undecided.pop(session.key, None)
         if session.slot is not None:
             self._slot_session[session.slot] = None
             self._bank.close_slot(session.slot)
             session.slot = None
+        if self._quality is not None:
+            # The whole stroke: the eagerness measure's denominator.
+            self._quality.closed(
+                session.key, session.decided_points + session.manip
+            )
 
     def _quality_vector(self, session: _Session):
         """The decided prefix's feature snapshot, without a scalar replay.
 
-        Batched mode reads the bank's quality sidecar as a raw
+        Batched mode reads the bank's turn-product log as a raw
         accumulator tuple (O(1) per call; the monitor assembles it
         lazily); sequential mode reads the eager session's own
-        incremental vector.  Both are bit-identical to
-        :meth:`_replay_vector` once assembled — that identity is what
-        lets :class:`~repro.obs.QualityMonitor` stay attached in
-        production without re-walking every decided prefix.
+        incremental vector.  Both are bit-identical to a scalar replay
+        of the prefix once assembled — that identity is what lets
+        :class:`~repro.obs.QualityMonitor` stay attached in production
+        without re-walking every decided prefix.
         """
         if self.batched:
             return self._bank.quality_state(session.slot)
         return session.eseq.feature_vector
 
-    def _replay_vector(self, session: _Session) -> np.ndarray:
-        """The scalar path's exact feature vector for a session's prefix.
+    def _evaluate(
+        self, rows: list[_Session], slots: np.ndarray, n_eager: int
+    ) -> tuple[list[int], list[str], int]:
+        """Decide the bank rows of ``rows`` (bank slots ``slots``).
 
-        This is the arbiter behind the batched mode's equivalence
-        guarantee: rows the :class:`BatchEvaluator` flags as risky are
-        re-decided from features computed precisely as
-        :class:`~repro.eager.EagerSession` computes them.
+        The first ``n_eager`` rows are eager candidates: the paper's D
+        (the AUC) judges each, and C (the full classifier) names the
+        unambiguous ones.  Every later row is named outright.  Rows are
+        grouped by the model their session pinned — one fused product
+        per group, and one group, found without a per-row loop, when
+        every row shares a model.  The evaluator's decisions never
+        depend on which other rows share a batch, so grouping cannot
+        change a decision; risky verdicts are re-decided exactly.
+
+        Returns ``(unambiguous, names, fallbacks)``: the unambiguous
+        candidates' row indices, the class names of those rows followed
+        by the later rows', and the number of exact fallbacks.
         """
-        inc = IncrementalFeatures()
-        for p in session.points:
-            if type(p) is tuple:
-                p = Point(p[0], p[1], p[2])
-            inc.add_point(p)
-        return inc.vector
-
-    def _fallback_full(self, session: _Session) -> str:
-        """One exact-fallback full classification, profiled when attached."""
-        prof = self._profiler
-        t_start = perf_counter() if prof is not None else 0.0
-        name = session.model.recognizer.full_classifier.classify_features(
-            self._replay_vector(session)
-        )
-        if prof is not None:
-            prof.add("exact_fallback", perf_counter() - t_start)
-        return name
-
-    def _eval_rows_grouped(self, rows, features, counts, guard_risk):
-        """Combined decisions with rows partitioned by pinned model.
-
-        Each group is sliced out, decided by its own model's evaluator,
-        and scattered back into full-length result arrays.  Because the
-        evaluator's discrete decisions never depend on which other rows
-        share a batch (risky rows are exact-replayed), the default
-        model's group decides exactly as it would have in an unpartition-
-        ed, swap-free batch — the hot-swap byte-identity invariant.
-        """
-        n = len(rows)
-        unambiguous = np.zeros(n, dtype=bool)
-        auc_risky = np.zeros(n, dtype=bool)
-        full_winners = np.zeros(n, dtype=np.intp)
-        full_risky = np.zeros(n, dtype=bool)
-        groups: dict[int, list[int]] = {}
-        for i, session in enumerate(rows):
-            groups.setdefault(id(session.model), []).append(i)
-        for indices in groups.values():
-            model = rows[indices[0]].model
-            idx = np.asarray(indices, dtype=np.intp)
-            u, a, w, f = model.evaluator.combined_decisions(
-                features[idx], counts[idx], guard_risk[idx]
-            )
-            unambiguous[idx] = u
-            auc_risky[idx] = a
-            full_winners[idx] = w
-            full_risky[idx] = f
-        return unambiguous, auc_risky, full_winners, full_risky
-
-    def _classify_full(self, sessions: list[_Session]) -> list[str]:
-        """Full-classifier verdicts on current prefixes (timeout path)."""
-        if not self.batched:
-            return [
-                s.model.recognizer.full_classifier.classify_features(
-                    self._replay_vector(s)
-                )
-                for s in sessions
-            ]
-        slots = np.array([s.slot for s in sessions])
         features, counts, guard_risk = self._bank.features(slots)
-        if self._swapped:
-            names: list = [None] * len(sessions)
-            risky = np.zeros(len(sessions), dtype=bool)
-            groups: dict[int, list[int]] = {}
-            for i, session in enumerate(sessions):
-                groups.setdefault(id(session.model), []).append(i)
-            for indices in groups.values():
-                model = sessions[indices[0]].model
-                idx = np.asarray(indices, dtype=np.intp)
-                group_names, group_risky = model.evaluator.full_decisions(
+        ids = self._slot_model[slots]
+        if (ids == ids[0]).all():
+            unambiguous, auc_risky, winners, full_risky = (
+                rows[0].model.evaluator.combined_decisions(
+                    features, counts, guard_risk
+                )
+            )
+        else:
+            n = len(rows)
+            unambiguous = np.zeros(n, dtype=bool)
+            auc_risky = np.zeros(n, dtype=bool)
+            winners = np.zeros(n, dtype=np.intp)
+            full_risky = np.zeros(n, dtype=bool)
+            for index in np.unique(ids).tolist():
+                idx = np.flatnonzero(ids == index)
+                (
+                    unambiguous[idx],
+                    auc_risky[idx],
+                    winners[idx],
+                    full_risky[idx],
+                ) = rows[idx[0]].model.evaluator.combined_decisions(
                     features[idx], counts[idx], guard_risk[idx]
                 )
-                for k, i in enumerate(indices):
-                    names[i] = group_names[k]
-                risky[idx] = group_risky
-        else:
-            names, risky = self._evaluator.full_decisions(
-                features, counts, guard_risk
-            )
-        replays = np.flatnonzero(risky)
-        for i in replays:
-            names[i] = self._fallback_full(sessions[i])
-        obs = self.observer
-        if obs is not None:
-            obs.timeout_round(len(sessions), len(replays))
-        return names
+        redo = np.flatnonzero(auc_risky[:n_eager]).tolist()
+        for i in redo:
+            session = rows[i]
+            decide = session.model.recognizer.auc.is_unambiguous
+            unambiguous[i] = self._exact(session, decide)
+        unamb_rows = np.flatnonzero(unambiguous[:n_eager]).tolist()
+        fallbacks = len(redo)
+        names = []
+        for i in unamb_rows + list(range(n_eager, len(rows))):
+            session = rows[i]
+            if full_risky[i]:
+                fallbacks += 1
+                decide = session.model.recognizer.full_classifier.classify_features
+                names.append(self._exact(session, decide))
+            else:
+                names.append(session.model.evaluator.full_names[winners[i]])
+        return unamb_rows, names, fallbacks
+
+    def _exact(self, session: _Session, decide):
+        """``decide`` on the session's exact feature vector, read from the
+        bank's log (one exact fallback, profiled when attached)."""
+        prof = self._profiler
+        t_start = perf_counter() if prof is not None else 0.0
+        verdict = decide(self._bank.quality_vector(session.slot))
+        if prof is not None:
+            prof.add("exact_fallback", perf_counter() - t_start)
+        return verdict

@@ -198,7 +198,6 @@ class GestureServer:
         queue_size: int = 1024,
         max_line: int = DEFAULT_MAX_LINE,
         max_frame: int = DEFAULT_MAX_FRAME,
-        batched: bool = True,
         observer=None,
         fault_injector=None,
         registry=None,
@@ -221,7 +220,6 @@ class GestureServer:
             recognizer,
             timeout=timeout,
             max_sessions=max_sessions,
-            batched=batched,
             observer=observer,
             max_models=model_cache,
             model_loader=self._load_label if model_cache is not None else None,
@@ -261,6 +259,8 @@ class GestureServer:
         self._channels: dict[str, Channel] = {}
         self._next_channel = 0
         self._server: asyncio.AbstractServer | None = None
+        # Each TCP connection's handler task and its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._pump_task: asyncio.Task | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -285,6 +285,14 @@ class GestureServer:
             self._server = None
         for channel in list(self._channels.values()):
             self._close_channel(channel)
+        # Abort each connection's transport, so its handler reads EOF
+        # and returns (its channel is closed, so nothing more is read):
+        # a handler left to be cancelled makes asyncio log a
+        # CancelledError traceback.
+        handlers = list(self._connections.items())
+        for _, writer in handlers:
+            writer.transport.abort()
+        await asyncio.gather(*(task for task, _ in handlers))
         if self._pump_task is not None:
             self._pump_task.cancel()
             with suppress(asyncio.CancelledError):
@@ -590,6 +598,8 @@ class GestureServer:
         return encode_error(str(exc)), None
 
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         channel = await self.open_channel()
         wire = _Wire()
         drain_task = asyncio.get_running_loop().create_task(
@@ -656,6 +666,7 @@ class GestureServer:
             writer.close()
             with suppress(ConnectionError):
                 await writer.wait_closed()
+            self._connections.pop(task, None)
 
     async def _drain_replies(self, channel: Channel, writer, wire=None) -> None:
         mode = wire if wire is not None else _Wire()

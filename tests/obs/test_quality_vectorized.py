@@ -9,11 +9,12 @@ at three layers:
 
 * bank level — ``quality_vector`` equals the scalar replay after
   *every* prefix of randomized strokes, including interleaved
-  multi-slot ticks and sidecar-log growth;
-* monitor level — a :class:`QualityMonitor` fed the pool's vectorized
-  snapshots reports counters, histograms, drift, and trace records
-  identical to one forced onto the replay path, across recognizers
-  (masked included) and both pool modes;
+  multi-slot ticks and strokes that outgrow the shared log width;
+* monitor level — a :class:`QualityMonitor` fed by either pool mode
+  reports counters, histograms, drift, and trace records identical to
+  a reference monitor on the sequential pool that replays each decided
+  prefix from the workload's own points, across recognizers (masked
+  included);
 * sampling — :func:`session_sampled` is a pure, monotone function of
   ``(seed, rate, key)``, so the sampled set is identical across
   re-runs, worker partitions, and process restarts, and the records a
@@ -79,7 +80,7 @@ def _materialize(raw) -> list[tuple[float, float, float]]:
 
 
 def _assert_prefix_identity(bank_cls, points) -> None:
-    bank = bank_cls(3, quality=True)
+    bank = bank_cls(3)
     slot = bank.open_slot()
     slots = np.array([slot])
     inc = IncrementalFeatures()
@@ -104,8 +105,8 @@ def test_bank_quality_vector_bit_identical_on_float_strokes(raw):
 
 
 class _NarrowBank(FeatureBank):
-    # Two columns force the sidecar log through several IndexError ->
-    # double -> retry growth cycles on any stroke with >2 turns.
+    # Two shared columns move any stroke with >2 turns to its own
+    # spill buffer, which then grows with every further turn.
     _Q_LOG_WIDTH = 2
 
 
@@ -127,7 +128,7 @@ def test_interleaved_slots_keep_independent_exact_state(raws):
     from feeding each stroke alone.
     """
     strokes = [_materialize(raw) for raw in raws]
-    bank = FeatureBank(len(strokes), quality=True)
+    bank = _NarrowBank(len(strokes))
     slots = [bank.open_slot() for _ in strokes]
     refs = [IncrementalFeatures() for _ in strokes]
     for k in range(max(len(s) for s in strokes)):
@@ -151,10 +152,24 @@ def test_interleaved_slots_keep_independent_exact_state(raws):
 
 
 class _ReplayMonitor(QualityMonitor):
-    """A monitor that refuses every precomputed vector: the reference."""
+    """The reference: ignores the pool's vector and replays the decided
+    prefix from the workload's own points instead."""
 
-    def decided(self, points, decision, vector=None) -> None:
-        super().decided(points, decision, None)
+    def __init__(self, recognizer, workload, dt=0.01, **kw):
+        super().__init__(recognizer, **kw)
+        self._points: dict[str, list[Point]] = {}
+        for ops in workload:
+            for tick, op in enumerate(ops):
+                if op[0] in ("down", "move"):
+                    self._points.setdefault(op[1], []).append(
+                        Point(op[2], op[3], tick * dt)
+                    )
+
+    def decided(self, first_t, decision, vector) -> None:
+        inc = IncrementalFeatures()
+        for point in self._points[decision.key][: decision.points_seen]:
+            inc.add_point(point)
+        super().decided(first_t, decision, inc.vector)
 
 
 def _quality_view(quality, metrics) -> dict:
@@ -174,6 +189,8 @@ def _quality_view(quality, metrics) -> dict:
 
 def _run(recognizer, workload, monitor_cls, *, batched, tracer=None, **kw):
     metrics = MetricsRegistry()
+    if monitor_cls is _ReplayMonitor:
+        kw["workload"] = workload
     quality = monitor_cls(recognizer, metrics=metrics, tracer=tracer, **kw)
     observer = PoolObserver(metrics=metrics, tracer=tracer, quality=quality)
     run_load(
@@ -194,13 +211,14 @@ _TEMPLATES = {
 def test_vectorized_monitor_bit_identical_to_forced_replay(
     request, fixture, batched
 ):
-    """Snapshot-fed monitor == replay-fed monitor, per recognizer/mode."""
+    """Pool-fed monitor (either mode) == the sequential pool's replaying
+    reference monitor, per recognizer."""
     recognizer = request.getfixturevalue(fixture)
     workload = generate_workload(
         _TEMPLATES[fixture](), clients=5, gestures_per_client=2, seed=29
     )
     q_vec, m_vec = _run(recognizer, workload, QualityMonitor, batched=batched)
-    q_ref, m_ref = _run(recognizer, workload, _ReplayMonitor, batched=batched)
+    q_ref, m_ref = _run(recognizer, workload, _ReplayMonitor, batched=False)
     view_vec = _quality_view(q_vec, m_vec)
     assert view_vec == _quality_view(q_ref, m_ref)
     assert view_vec["counters"].get("quality.decisions", 0) > 0
@@ -217,7 +235,8 @@ def test_vectorized_monitor_bit_identical_to_forced_replay(
 def test_vectorized_equals_replay_with_tracer_attached(
     directions_recognizer, params
 ):
-    """Eager (traced) path too: identical metrics AND trace records."""
+    """Eager (traced) path too: the batched pool's monitor gives metrics
+    AND trace records identical to the sequential pool's reference."""
     clients, gestures, seed = params
     workload = generate_workload(
         eight_direction_templates(),
@@ -230,7 +249,11 @@ def test_vectorized_equals_replay_with_tracer_attached(
     for cls in (QualityMonitor, _ReplayMonitor):
         tracer = Tracer()
         quality, metrics = _run(
-            directions_recognizer, workload, cls, batched=True, tracer=tracer
+            directions_recognizer,
+            workload,
+            cls,
+            batched=cls is QualityMonitor,
+            tracer=tracer,
         )
         views[cls] = _quality_view(quality, metrics)
         traces[cls] = [l for l in tracer.lines() if '"quality"' in l]

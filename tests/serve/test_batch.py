@@ -162,44 +162,6 @@ class TestBatchEvaluator:
                     )
                     assert names[winners[i]] == expected
 
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_combined_matches_unfused_methods(
-        self, masked_recognizer, data
-    ):
-        """The fused matrix product agrees with the per-classifier paths.
-
-        The fused path's risk bound is looser (row-L1 instead of
-        per-class), so it may flag *more* rows risky — never fewer —
-        and must agree on every row neither path flags.
-        """
-        recognizer = masked_recognizer
-        n = recognizer.min_points
-        stroke_list = data.draw(
-            st.lists(
-                strokes(min_points=n, max_points=n + 8),
-                min_size=1,
-                max_size=4,
-            )
-        )
-        evaluator, bank, slots, _ = _drive_both_paths(recognizer, stroke_list)
-        features, counts, guard_risk = bank.features(slots)
-        unamb, auc_risky, winners, full_risky = evaluator.combined_decisions(
-            features, counts, guard_risk
-        )
-        unamb2, auc_risky2 = evaluator.auc_decisions(
-            features, counts, guard_risk
-        )
-        names2, full_risky2 = evaluator.full_decisions(
-            features, counts, guard_risk
-        )
-        names = evaluator.full_names
-        for i in range(len(stroke_list)):
-            if not (auc_risky[i] or auc_risky2[i]):
-                assert unamb[i] == unamb2[i]
-            if not (full_risky[i] or full_risky2[i]):
-                assert names[winners[i]] == names2[i]
-
     def test_masked_weights_zero_embedding(self, masked_recognizer):
         """The masked classifier's scores equal its embedded block exactly."""
         full = masked_recognizer.full_classifier

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.eager import EagerRecognizer
 from repro.serve import (
     SessionPool,
     compare_modes,
@@ -248,3 +252,44 @@ class TestClockDiscipline:
         decisions = pool.advance_to(1.0)
         assert [d.kind for d in decisions] == ["recog"]
         assert decisions[0].reason == "timeout"
+
+
+class TestLongStroke:
+    def test_long_undecided_stroke_memory_is_bounded(
+        self, directions_recognizer
+    ):
+        """A 3000-turn undecided stroke grows only its own log.
+
+        A pool-wide log that widened every slot to the longest stroke
+        would cost 4096 slots x 3000 turns x 16 bytes (~190 MiB) here;
+        the stroke's own products are ~47 KiB.  Its timeout decision,
+        which reads the bank's log, still equals the sequential pool's.
+        """
+        # min_points past the stroke's length: D never fires, so the
+        # whole zigzag is logged while the session stays undecided.
+        undecided = EagerRecognizer(
+            directions_recognizer.full_classifier,
+            directions_recognizer.auc,
+            min_points=10**6,
+        )
+        zigzag = [(i * 4.0, (i % 2) * 6.0, i * 0.01) for i in range(3002)]
+
+        def run(pool):
+            out = _drive_stroke(pool, "s1", zigzag, up=False)
+            out += pool.advance_to(zigzag[-1][2] + 0.3)
+            x, y, t = zigzag[-1]
+            pool.up("s1", x, y, t + 0.3)
+            return out + pool.flush()
+
+        pool = SessionPool(undecided, max_sessions=4096)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            batched = run(pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batched == run(SessionPool(undecided, batched=False))
+        assert [d.reason for d in batched] == ["timeout", ""]
+        assert batched[0].points_seen == len(zigzag)
+        assert peak < 1 << 20, peak

@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from repro.eager import train_eager_recognizer
+from repro.eager import EagerRecognizer, train_eager_recognizer
 from repro.obs import MetricsRegistry, PoolObserver, Tracer
 from repro.synth import GestureGenerator, eight_direction_templates
 from repro.serve import (
@@ -152,6 +152,44 @@ class TestPoolSwap:
             directions_recognizer, list(events), batched=False
         )
         assert batched == sequential
+
+    def test_per_model_min_points_in_shared_rounds(
+        self, directions_recognizer
+    ):
+        # Two resident models that differ only in min_points, with
+        # sessions of both live in the same rounds: each session must
+        # reach its own model's threshold before D may fire.  The
+        # directions gestures turn late, so the default model decides
+        # them eagerly at 11-14 points, below the late model's 15.
+        late = EagerRecognizer(
+            directions_recognizer.full_classifier,
+            directions_recognizer.auc,
+            min_points=15,
+        )
+        generator = GestureGenerator(eight_direction_templates(), seed=5)
+        events = [(0.0, ("swap", "u2/", late, "late"))]
+        for i, name in enumerate(directions_recognizer.class_names):
+            for user in ("u1", "u2"):
+                key = f"{user}/{name}"
+                points = list(generator.generate(name).stroke)
+                t0 = 0.01 + i * 0.05
+                events.append((t0, ("down", key, points[0].x, points[0].y)))
+                for k, p in enumerate(points[1:], start=1):
+                    events.append((t0 + k * DT, ("move", key, p.x, p.y)))
+                events.append(
+                    (t0 + len(points) * DT, ("up", key, p.x, p.y))
+                )
+        batched = drive(directions_recognizer, list(events), batched=True)
+        sequential = drive(
+            directions_recognizer, list(events), batched=False
+        )
+        assert batched == sequential
+        for key, lines in batched.items():
+            recog = json.loads(lines[0])
+            if key.startswith("u1/"):
+                assert recog["eager"] and recog["points_seen"] < 15, key
+            else:
+                assert recog["points_seen"] >= 15, key
 
     def test_observer_hook_counts_and_traces_swaps(
         self, directions_recognizer, gdp_recognizer
