@@ -31,54 +31,45 @@ Quickstart::
     print(result.class_name, result.fraction_seen)
 """
 
-from .eager import (
-    EagerRecognizer,
-    EagerResult,
-    EagerSession,
-    EagerTrainingConfig,
-    EagerTrainingReport,
-    train_eager_recognizer,
-)
-from .features import FEATURE_NAMES, NUM_FEATURES, IncrementalFeatures, features_of
-from .geometry import Affine, BoundingBox, Point, Stroke
-from .recognizer import GestureClassifier, RejectionPolicy
-from .synth import (
-    GeneratedGesture,
-    GenerationParams,
-    GestureGenerator,
-    GestureTemplate,
-    eight_direction_templates,
-    gdp_templates,
-    note_templates,
-    ud_templates,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Affine",
-    "BoundingBox",
-    "EagerRecognizer",
-    "EagerResult",
-    "EagerSession",
-    "EagerTrainingConfig",
-    "EagerTrainingReport",
-    "FEATURE_NAMES",
-    "GeneratedGesture",
-    "GenerationParams",
-    "GestureClassifier",
-    "GestureGenerator",
-    "GestureTemplate",
-    "IncrementalFeatures",
-    "NUM_FEATURES",
-    "Point",
-    "RejectionPolicy",
-    "Stroke",
-    "eight_direction_templates",
-    "features_of",
-    "gdp_templates",
-    "note_templates",
-    "train_eager_recognizer",
-    "ud_templates",
-    "__version__",
-]
+# Re-exports resolve on first use (PEP 562): importing a subpackage
+# (``repro.cluster.worker``, say) loads only what it needs, not the
+# trainer or the gesture synthesizer behind these names.
+_EXPORTS = {
+    "EagerRecognizer": "eager",
+    "EagerResult": "eager",
+    "EagerSession": "eager",
+    "EagerTrainingConfig": "eager",
+    "EagerTrainingReport": "eager",
+    "train_eager_recognizer": "eager",
+    "FEATURE_NAMES": "features",
+    "NUM_FEATURES": "features",
+    "IncrementalFeatures": "features",
+    "features_of": "features",
+    "Affine": "geometry",
+    "BoundingBox": "geometry",
+    "Point": "geometry",
+    "Stroke": "geometry",
+    "GestureClassifier": "recognizer",
+    "RejectionPolicy": "recognizer",
+    "GeneratedGesture": "synth",
+    "GenerationParams": "synth",
+    "GestureGenerator": "synth",
+    "GestureTemplate": "synth",
+    "eight_direction_templates": "synth",
+    "gdp_templates": "synth",
+    "note_templates": "synth",
+    "ud_templates": "synth",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

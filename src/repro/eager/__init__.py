@@ -1,58 +1,43 @@
 """Eager recognition: classify a gesture as soon as it is unambiguous."""
 
-from .auc import AMBIGUITY_BIAS_RATIO, AmbiguityClassifier
-from .partition import (
-    ExampleLabelling,
-    LabelledSubgesture,
-    SubgesturePartition,
-    class_of_set,
-    complete_set_name,
-    compute_move_threshold,
-    incomplete_set_name,
-    is_complete_set,
-    label_example,
-    label_examples,
-    move_accidentally_complete,
-    partition_subgestures,
-)
-from .recognizer import EagerRecognizer, EagerResult, EagerSession
-from .subgestures import (
-    MIN_PREFIX_POINTS,
-    SubgestureFeatures,
-    prefix_feature_vectors,
-)
-from .trainer import (
-    AucBuildStats,
-    EagerTrainingConfig,
-    EagerTrainingReport,
-    build_auc,
-    train_eager_recognizer,
-)
+from importlib import import_module
 
-__all__ = [
-    "AMBIGUITY_BIAS_RATIO",
-    "MIN_PREFIX_POINTS",
-    "AmbiguityClassifier",
-    "AucBuildStats",
-    "EagerRecognizer",
-    "EagerResult",
-    "EagerSession",
-    "EagerTrainingConfig",
-    "EagerTrainingReport",
-    "ExampleLabelling",
-    "LabelledSubgesture",
-    "SubgestureFeatures",
-    "SubgesturePartition",
-    "build_auc",
-    "class_of_set",
-    "complete_set_name",
-    "compute_move_threshold",
-    "incomplete_set_name",
-    "is_complete_set",
-    "label_example",
-    "label_examples",
-    "move_accidentally_complete",
-    "partition_subgestures",
-    "prefix_feature_vectors",
-    "train_eager_recognizer",
-]
+# Re-exports resolve on first use (PEP 562): a serving process that
+# only loads trained recognizers never imports the trainer or the
+# subgesture partition.
+_EXPORTS = {
+    "AMBIGUITY_BIAS_RATIO": "auc",
+    "AmbiguityClassifier": "auc",
+    "class_of_set": "auc",
+    "complete_set_name": "auc",
+    "incomplete_set_name": "auc",
+    "is_complete_set": "auc",
+    "ExampleLabelling": "partition",
+    "LabelledSubgesture": "partition",
+    "SubgesturePartition": "partition",
+    "compute_move_threshold": "partition",
+    "label_example": "partition",
+    "label_examples": "partition",
+    "move_accidentally_complete": "partition",
+    "partition_subgestures": "partition",
+    "EagerRecognizer": "recognizer",
+    "EagerResult": "recognizer",
+    "EagerSession": "recognizer",
+    "MIN_PREFIX_POINTS": "subgestures",
+    "SubgestureFeatures": "subgestures",
+    "prefix_feature_vectors": "subgestures",
+    "AucBuildStats": "trainer",
+    "EagerTrainingConfig": "trainer",
+    "EagerTrainingReport": "trainer",
+    "build_auc": "trainer",
+    "train_eager_recognizer": "trainer",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

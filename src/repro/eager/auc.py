@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from ..recognizer import LinearClassifier
-from .partition import is_complete_set
 
 __all__ = ["AmbiguityClassifier", "AMBIGUITY_BIAS_RATIO"]
 
@@ -27,6 +26,30 @@ __all__ = ["AmbiguityClassifier", "AMBIGUITY_BIAS_RATIO"]
 # that ambiguous gestures are five times more likely than unambiguous
 # gestures." (section 4.6)
 AMBIGUITY_BIAS_RATIO = 5.0
+
+
+# The AUC's class names: "C:<class>" for the complete set of a gesture
+# class, "I:<class>" for its incomplete set.
+def complete_set_name(class_name: str) -> str:
+    """Name of the complete ("C-c") AUC class for a gesture class."""
+    return f"C:{class_name}"
+
+
+def incomplete_set_name(class_name: str) -> str:
+    """Name of the incomplete ("I-c") AUC class for a gesture class."""
+    return f"I:{class_name}"
+
+
+def is_complete_set(set_name: str) -> bool:
+    return set_name.startswith("C:")
+
+
+def class_of_set(set_name: str) -> str:
+    """The gesture class a C-c / I-c set name refers to."""
+    prefix, _, class_name = set_name.partition(":")
+    if prefix not in ("C", "I") or not class_name:
+        raise ValueError(f"not an AUC set name: {set_name!r}")
+    return class_name
 
 
 class AmbiguityClassifier:

@@ -31,6 +31,12 @@ import numpy as np
 
 from ..geometry import Stroke
 from ..recognizer import GestureClassifier, MahalanobisMetric
+from .auc import (
+    class_of_set,
+    complete_set_name,
+    incomplete_set_name,
+    is_complete_set,
+)
 from .subgestures import MIN_PREFIX_POINTS, prefix_feature_vectors
 
 __all__ = [
@@ -47,28 +53,6 @@ __all__ = [
     "is_complete_set",
     "class_of_set",
 ]
-
-
-def complete_set_name(class_name: str) -> str:
-    """Name of the complete ("C-c") AUC class for a gesture class."""
-    return f"C:{class_name}"
-
-
-def incomplete_set_name(class_name: str) -> str:
-    """Name of the incomplete ("I-c") AUC class for a gesture class."""
-    return f"I:{class_name}"
-
-
-def is_complete_set(set_name: str) -> bool:
-    return set_name.startswith("C:")
-
-
-def class_of_set(set_name: str) -> str:
-    """The gesture class a C-c / I-c set name refers to."""
-    prefix, _, class_name = set_name.partition(":")
-    if prefix not in ("C", "I") or not class_name:
-        raise ValueError(f"not an AUC set name: {set_name!r}")
-    return class_name
 
 
 @dataclass

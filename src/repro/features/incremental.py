@@ -22,24 +22,25 @@ from .rubine import NUM_FEATURES, _MIN_DISTANCE, _MIN_DT, _MIN_SEGMENT_SQ
 __all__ = ["IncrementalFeatures", "fold_turn_angles", "vector_from_snapshot"]
 
 
-def fold_turn_angles(crosses, dots) -> tuple[float, float, float]:
+def fold_turn_angles(products) -> tuple[float, float, float]:
     """Fold per-segment cross/dot products into the turn-angle features.
 
-    ``crosses[i]`` / ``dots[i]`` are the cross and dot products of
-    segment ``i`` against its predecessor — the two operands
-    :meth:`IncrementalFeatures.add_point` hands to ``math.atan2`` for
-    each turning point, in arrival order.  The fold here is that
-    method's theta block verbatim (``math.atan2``, then ``+= theta``,
-    ``+= abs(theta)``, ``+= theta * theta`` per point, left to right),
-    so a caller holding the products — however it computed them — gets
-    accumulators bit-identical to the scalar path's.
+    ``products`` is an ``(m, 2)`` array: row ``i`` holds the cross and
+    dot products of turning segment ``i`` against its predecessor — the
+    two operands :meth:`IncrementalFeatures.add_point` hands to
+    ``math.atan2`` for each turning point, in arrival order.  The fold
+    here is that method's theta block verbatim (``math.atan2``, then
+    ``+= theta``, ``+= abs(theta)``, ``+= theta * theta`` per point,
+    left to right), so a caller holding the products — however it
+    computed them — gets accumulators bit-identical to the scalar
+    path's.
 
     Returns ``(total_angle, total_abs_angle, sharpness)``.
     """
     total_angle = 0.0
     total_abs = 0.0
     sharpness = 0.0
-    for cross, dot in zip(crosses, dots):
+    for cross, dot in products.tolist():
         theta = math.atan2(cross, dot)
         total_angle += theta
         total_abs += abs(theta)
@@ -55,9 +56,7 @@ def vector_from_snapshot(
     dxe: float,
     dye: float,
     total_len: float,
-    total_angle: float,
-    total_abs: float,
-    sharpness: float,
+    turn_products,
     max_speed_sq: float,
     duration: float,
 ) -> np.ndarray:
@@ -66,17 +65,20 @@ def vector_from_snapshot(
     The arguments are exactly the intermediate scalars
     :attr:`IncrementalFeatures.vector` derives before its ``hypot`` /
     ``atan2`` / divide stage: the initial-angle anchor deltas, the
-    bounding-box extents, the first-to-last chord deltas, and the five
-    accumulators that pass through unchanged.  Subtraction is
-    IEEE-exact, so a caller that produces those deltas from its own
-    state (e.g. a :class:`~repro.serve.bank.FeatureBank` row) gets a
-    result bit-identical to the scalar property — the point of this
-    function is letting such callers *capture* the cheap deltas on the
-    hot path and defer the transcendental assembly to read time.
+    bounding-box extents, the first-to-last chord deltas, and the
+    accumulators that pass through unchanged — except the three turn
+    sums, which come folded from ``turn_products`` (see
+    :func:`fold_turn_angles`).  Subtraction is IEEE-exact, so a caller
+    that produces those deltas from its own state (e.g. a
+    :class:`~repro.serve.bank.FeatureBank` column) gets a result
+    bit-identical to the scalar property — the point of this function
+    is letting such callers *capture* the cheap deltas on the hot path
+    and defer the transcendental assembly to read time.
 
     Mirrors the property operation for operation; the property stays
     hand-inlined because it runs per mouse point in sequential mode.
     """
+    total_angle, total_abs, sharpness = fold_turn_angles(turn_products)
     f = [0.0] * NUM_FEATURES
     d0 = math.hypot(dx0, dy0)
     if d0 > _MIN_DISTANCE:

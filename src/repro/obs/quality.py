@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from hashlib import blake2b
 
-from ..features import fold_turn_angles, vector_from_snapshot
+from ..features import vector_from_snapshot
 
 __all__ = ["QualityMonitor", "session_sampled"]
 
@@ -111,19 +111,6 @@ _DWELL_BUCKETS = (
     0.01, 0.025, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.5,
 )
 _EAGERNESS_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-
-def _assemble(state: tuple) -> np.ndarray:
-    """A :meth:`FeatureBank.quality_state` snapshot, as a feature vector.
-
-    Replays the scalar ``atan2`` fold over the snapshot's logged
-    turning products, then the scalar assembly over its deltas — both
-    pure :mod:`repro.features` functions, bit-identical to the replay.
-    """
-    angle, abs_angle, sharp = fold_turn_angles(state[7], state[8])
-    return vector_from_snapshot(
-        *state[:7], angle, abs_angle, sharp, *state[9:]
-    )
 
 
 class QualityMonitor:
@@ -320,8 +307,8 @@ class QualityMonitor:
         np.partition(scores, -2) and np.argmax did: same floats, same
         subtraction, first index wins ties.
         """
-        if type(features) is tuple:
-            features = _assemble(features)
+        if type(features) is tuple:  # a FeatureBank.quality_state snapshot
+            features = vector_from_snapshot(*features)
         if self._columns is not None:
             features = features[self._columns]
         raw = np.matmul(self._weights, features, out=self._score_buf).tolist()

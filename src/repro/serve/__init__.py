@@ -21,75 +21,53 @@ multi-tenant streaming service:
   ``benchmarks/bench_serve_throughput.py`` and ``repro-gestures loadgen``.
 """
 
-from .bank import FeatureBank
-from .batch import BatchEvaluator
-from .framing import (
-    DEFAULT_MAX_FRAME,
-    FRAME_MAGIC,
-    FrameReader,
-    encode_frame,
-    encode_frames,
-    encode_hello,
-    encode_hello_ack,
-    negotiate,
-)
-from .lines import LineReader
-from .loadgen import (
-    LoadResult,
-    compare_modes,
-    family_templates,
-    generate_workload,
-    run_load,
-)
-from .pool import DEFAULT_IDLE_TIMEOUT, Decision, SessionPool
-from .protocol import (
-    ProtocolError,
-    Request,
-    decode_block,
-    decode_frame,
-    decode_payload,
-    decode_request,
-    encode_decision,
-    encode_error,
-    encode_stats,
-    encode_swap,
-)
-from .registry import ModelRegistry, ModelVersion
-from .server import Channel, DEFAULT_MAX_LINE, GestureServer
+from importlib import import_module
 
-__all__ = [
-    "DEFAULT_IDLE_TIMEOUT",
-    "DEFAULT_MAX_FRAME",
-    "DEFAULT_MAX_LINE",
-    "FRAME_MAGIC",
-    "BatchEvaluator",
-    "Channel",
-    "Decision",
-    "FeatureBank",
-    "FrameReader",
-    "GestureServer",
-    "LineReader",
-    "LoadResult",
-    "ModelRegistry",
-    "ModelVersion",
-    "ProtocolError",
-    "Request",
-    "SessionPool",
-    "compare_modes",
-    "decode_block",
-    "decode_frame",
-    "decode_payload",
-    "decode_request",
-    "encode_decision",
-    "encode_error",
-    "encode_frame",
-    "encode_frames",
-    "encode_hello",
-    "encode_hello_ack",
-    "encode_stats",
-    "encode_swap",
-    "family_templates",
-    "generate_workload",
-    "negotiate",
-    "run_load",
-]
+# Re-exports resolve on first use (PEP 562): a worker that imports the
+# server never imports the load generator (and through it the gesture
+# synthesizer).
+_EXPORTS = {
+    "FeatureBank": "bank",
+    "BatchEvaluator": "batch",
+    "DEFAULT_MAX_FRAME": "framing",
+    "FRAME_MAGIC": "framing",
+    "FrameReader": "framing",
+    "encode_frame": "framing",
+    "encode_frames": "framing",
+    "encode_hello": "framing",
+    "encode_hello_ack": "framing",
+    "negotiate": "framing",
+    "LineReader": "lines",
+    "LoadResult": "loadgen",
+    "compare_modes": "loadgen",
+    "family_templates": "loadgen",
+    "generate_workload": "loadgen",
+    "run_load": "loadgen",
+    "DEFAULT_IDLE_TIMEOUT": "pool",
+    "Decision": "pool",
+    "SessionPool": "pool",
+    "ProtocolError": "protocol",
+    "Request": "protocol",
+    "decode_block": "protocol",
+    "decode_frame": "protocol",
+    "decode_payload": "protocol",
+    "decode_request": "protocol",
+    "encode_decision": "protocol",
+    "encode_error": "protocol",
+    "encode_stats": "protocol",
+    "encode_swap": "protocol",
+    "ModelRegistry": "registry",
+    "ModelVersion": "registry",
+    "Channel": "server",
+    "DEFAULT_MAX_LINE": "server",
+    "GestureServer": "server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

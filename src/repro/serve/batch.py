@@ -126,20 +126,25 @@ class BatchEvaluator:
         self._comb_const = np.concatenate(
             [recognizer.auc.linear.constants, full.linear.constants]
         )
-        # Per block (AUC, full): its column range, its drift bound, and
-        # the largest |weight| and |constant| for the row bound.
+        # Per block (AUC, full): its class count, and as (2, 1) columns
+        # its largest |weight| and |constant| (the row bound) and its
+        # drift bound.
         abs_wt = np.abs(self._comb_wt)
         abs_const = np.abs(self._comb_const)
-        auc_drift = _drift_bounds(recognizer.auc.linear, None)
-        full_drift = _drift_bounds(full.linear, full.feature_indices)
-        self._blocks = [
-            (lo, hi, static, per_point, abs_wt[:, lo:hi].max(initial=0.0),
-             abs_const[lo:hi].max(initial=0.0))
-            for lo, hi, (static, per_point) in (
-                (0, n_auc, auc_drift),
-                (n_auc, len(self._comb_const), full_drift),
-            )
-        ]
+        self._sizes = (n_auc, len(self._comb_const) - n_auc)
+        columns = (slice(0, n_auc), slice(n_auc, None))
+        self._max_w = np.array(
+            [[abs_wt[:, c].max(initial=0.0)] for c in columns]
+        )
+        self._max_c = np.array(
+            [[abs_const[c].max(initial=0.0)] for c in columns]
+        )
+        self._static, self._per_point = np.array(
+            [
+                _drift_bounds(recognizer.auc.linear, None),
+                _drift_bounds(full.linear, full.feature_indices),
+            ]
+        ).T[:, :, None]
 
     def combined_decisions(
         self,
@@ -160,26 +165,41 @@ class BatchEvaluator:
         prof = self.profiler
         t_start = perf_counter() if prof is not None else 0.0
         scores = features @ self._comb_wt + self._comb_const
+        # Transposed once, class-major, into one (2, k, n) array: block
+        # 0 the AUC's classes, block 1 the full classifier's, each
+        # padded to k with -inf (which never wins or runs up).  Winners
+        # and top-2 margins are then axis-1 reductions over contiguous
+        # class rows, for both blocks at once.
+        n = len(features)
+        n_auc, n_full = self._sizes
+        k = max(self._sizes)
+        blocks = np.full((2, k, n), -np.inf)
+        blocks[0, :n_auc] = scores[:, :n_auc].T
+        blocks[1, :n_full] = scores[:, n_auc:].T
+        winners = blocks.argmax(axis=1)
+        # The runner-up is the block's maximum once each row's winner is
+        # masked out: a tied score survives (margin 0), and a one-class
+        # block's runner-up is -inf (margin inf, so only the guard
+        # flags it).
+        at = winners * n
+        at += np.arange(n)
+        at[1] += k * n
+        flat = blocks.reshape(-1)
+        margin = flat[at]
+        flat[at] = -np.inf
+        margin -= blocks.max(axis=1)
         # Cheap row bound on any partial sum: ||f||_1 max|w| + max|b|
         # — looser than a per-class |f|.|w|^T bound, but one matrix
         # product cheaper; real margins sit ten-plus orders of
         # magnitude above it.
-        row_l1 = np.abs(features).sum(axis=1)
-        base = _MARGIN_SLACK * NUM_FEATURES
-        results = []
-        for lo, hi, static, per_point, max_w, max_c in self._blocks:
-            block = scores[:, lo:hi]
-            winners = np.argmax(block, axis=1)
-            if hi - lo == 1:
-                risky = guard_risk.copy()
-            else:
-                top2 = np.partition(block, -2, axis=1)[:, -2:]
-                margin = top2[:, 1] - top2[:, 0]
-                magnitude = row_l1 * max_w + max_c
-                tolerance = base * magnitude + static + per_point * counts
-                risky = (margin <= tolerance) | guard_risk
-            results.append((winners, risky))
-        (auc_winners, auc_risky), (full_winners, full_risky) = results
+        magnitude = np.abs(features).sum(axis=1) * self._max_w + self._max_c
+        tolerance = (
+            _MARGIN_SLACK * NUM_FEATURES * magnitude
+            + self._static
+            + self._per_point * counts
+        )
+        risky = margin <= tolerance
+        risky |= guard_risk
         if prof is not None:
-            prof.add("fused_eval", perf_counter() - t_start, len(features))
-        return self._complete[auc_winners], auc_risky, full_winners, full_risky
+            prof.add("fused_eval", perf_counter() - t_start, n)
+        return self._complete[winners[0]], risky[0], winners[1], risky[1]

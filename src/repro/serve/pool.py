@@ -69,7 +69,6 @@ exact path).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -87,24 +86,80 @@ __all__ = ["DEFAULT_IDLE_TIMEOUT", "Decision", "SessionPool"]
 # abandoned by their client and may be evicted.
 DEFAULT_IDLE_TIMEOUT = 30.0
 
+# Motionless-timeout batches smaller than this are decided exactly, row
+# by row (SessionPool._exact: the bank's exact vector, then the full
+# classifier), instead of by one fused evaluation.  Measured on the
+# GDP recognizer (18 AUC and 11 full-classifier classes) on a 2-vCPU
+# x86 VM: a fused timeout evaluation cost 70-80 us plus ~1 us per row,
+# an exact decision 18-24 us per row, so exact wins up to three rows.
+_EXACT_TIMEOUT_ROWS = 4
+
 # Entry tags used inside a processing round (see _run_round).
 _ERROR, _DECIDED, _FINISH, _COMMIT, _KILL, _RELEASE = 0, 1, 2, 3, 4, 5
 
-_NO_SLOTS = np.empty(0, dtype=np.int64)
+
+class _Slotted:
+    """Base of the serving layer's plain records (:class:`Decision`, and
+    the protocol's ``Request``): equality, hashing and a dataclass-style
+    repr over ``__slots__``.  The hot path builds one record per op or
+    decision, and a frozen dataclass costs about three times as much to
+    build."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join(
+                f"{name}={getattr(self, name)!r}" for name in self.__slots__
+            ),
+        )
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(_Slotted):
     """One event on a session's output stream."""
 
-    key: str
-    kind: str  # "recog" | "commit" | "evict" | "error"
-    t: float
-    class_name: str | None = None
-    eager: bool = False
-    points_seen: int = 0
-    total_points: int = 0
-    reason: str = ""
+    __slots__ = (
+        "key",
+        "kind",
+        "t",
+        "class_name",
+        "eager",
+        "points_seen",
+        "total_points",
+        "reason",
+    )
+
+    def __init__(
+        self,
+        key: str,
+        kind: str,  # "recog" | "commit" | "evict" | "error"
+        t: float,
+        class_name: str | None = None,
+        eager: bool = False,
+        points_seen: int = 0,
+        total_points: int = 0,
+        reason: str = "",
+    ):
+        self.key = key
+        self.kind = kind
+        self.t = t
+        self.class_name = class_name
+        self.eager = eager
+        self.points_seen = points_seen
+        self.total_points = total_points
+        self.reason = reason
 
 
 class _PoolModel:
@@ -384,8 +439,21 @@ class SessionPool:
         if expired:
             quality = self._quality
             if self.batched:
-                slots = np.array([s.slot for s in expired], dtype=np.int64)
-                _, names, n_fallbacks = self._evaluate(expired, slots, 0)
+                if len(expired) < _EXACT_TIMEOUT_ROWS:
+                    # Decided, not fallen back: counted in batch.rows only.
+                    n_fallbacks = 0
+                    names = [
+                        self._exact(
+                            s.slot,
+                            s.model.recognizer.full_classifier.classify_features,
+                        )
+                        for s in expired
+                    ]
+                else:
+                    slots = np.array([s.slot for s in expired], np.int64)
+                    _, names, n_fallbacks = self._evaluate(
+                        self._bank.take(slots), slots, 0
+                    )
                 obs = self.observer
                 if obs is not None:
                     obs.timeout_round(len(expired), n_fallbacks)
@@ -445,11 +513,15 @@ class SessionPool:
         entries: list[tuple] = []  # (feeds-before, tag, ...)
         fed_slots: list[int] = []
         fed_x, fed_y, fed_t = [], [], []  # the fed points' coordinates
+        fed_append = fed_slots.append
+        x_append = fed_x.append
+        y_append = fed_y.append
         finish_sessions: list[_Session] = []
         deferred: list[tuple] = []
 
         for t, chunk in chunks:
             later: list | None = None
+            n_fed = len(fed_slots)
             for op in chunk:
                 kind, key, x, y = op
                 if kind == "swap":
@@ -551,10 +623,9 @@ class SessionPool:
                 # A gesture point: a down's press point or an undecided move.
                 session.last_t = t
                 if batched:
-                    fed_slots.append(session.slot)
-                    fed_x.append(x)
-                    fed_y.append(y)
-                    fed_t.append(t)
+                    fed_append(session.slot)
+                    x_append(x)
+                    y_append(y)
                 else:
                     session.count = session.count + 1
                     decided = session.eseq.add_point(Point(x, y, t))
@@ -562,13 +633,14 @@ class SessionPool:
                         entries.append(
                             (len(fed_slots), _DECIDED, session, t, decided)
                         )
+            # A chunk's points share its t.
+            fed_t += [t] * (len(fed_slots) - n_fed)
 
         # Batched math: one vectorized tick, then one evaluation over
         # every eager candidate (a fed session with at least its model's
-        # min_points — found from the bank's counts, not per-operation
+        # min_points — found from the tick's counts, not per-operation
         # bookkeeping) and every finishing session.
         unamb_rows: list[int] = []
-        eval_sessions: list[_Session] = []
         cand = None  # candidates' indices into the fed arrays
         names: list[str] = []
         if batched:
@@ -577,16 +649,17 @@ class SessionPool:
             t_start = perf_counter() if timing else 0.0
             n_fallbacks = 0
             n_rows = 0
-            cand_slots = _NO_SLOTS
+            n_eager = 0
+            block = None
             if fed_slots:
                 # array() converts in one C loop; frombuffer adds no copy.
                 slot_arr = np.frombuffer(array("q", fed_slots), np.int64)
                 t_feed = perf_counter() if prof is not None else 0.0
-                new_counts = self._bank.add_points(
+                block, counts = self._bank.add_points(
                     slot_arr,
-                    np.frombuffer(array("d", fed_x)),
-                    np.frombuffer(array("d", fed_y)),
-                    np.frombuffer(array("d", fed_t)),
+                    np.frombuffer(array("d", fed_x + fed_y + fed_t)).reshape(
+                        3, -1
+                    ),
                 )
                 if prof is not None:
                     prof.add(
@@ -594,22 +667,25 @@ class SessionPool:
                         perf_counter() - t_feed,
                         len(fed_slots),
                     )
-                cand = np.flatnonzero(new_counts >= self._slot_min[slot_arr])
-                if len(cand):
-                    cand_slots = slot_arr[cand]
-                    table = self._slot_session
-                    eval_sessions = [table[s] for s in cand_slots.tolist()]
-            if eval_sessions or finish_sessions:
-                rows = eval_sessions + finish_sessions
-                row_slots = cand_slots
+                cand = np.flatnonzero(counts >= self._slot_min[slot_arr])
+                n_eager = len(cand)
+                if n_eager < len(fed_slots):
+                    # Candidates' columns come from the tick's own block.
+                    block = np.take(block, cand, axis=1)
+                    slot_arr = slot_arr[cand]
+            if n_eager or finish_sessions:
                 if finish_sessions:
-                    row_slots = np.concatenate(
-                        [cand_slots, [s.slot for s in finish_sessions]]
-                    )
+                    done = np.array([s.slot for s in finish_sessions], np.int64)
+                    done_block = self._bank.take(done)
+                    if n_eager:
+                        block = np.concatenate([block, done_block], axis=1)
+                        slot_arr = np.concatenate([slot_arr, done])
+                    else:
+                        block, slot_arr = done_block, done
                 unamb_rows, names, n_fallbacks = self._evaluate(
-                    rows, row_slots, len(eval_sessions)
+                    block, slot_arr, n_eager
                 )
-                n_rows = len(rows)
+                n_rows = len(slot_arr)
             if timing and (fed_slots or n_rows):
                 obs.batch_round(
                     len(fed_slots), n_rows, n_fallbacks, perf_counter() - t_start
@@ -622,12 +698,13 @@ class SessionPool:
         n_entries = len(entries)
         next_finish = iter(names[len(unamb_rows):])
         quality = self._quality
+        table = self._slot_session
         for k, j in enumerate(unamb_rows):
             p = cand[j]
             while entry_i < n_entries and entries[entry_i][0] <= p:
                 self._emit(entries[entry_i], out, next_finish)
                 entry_i += 1
-            session = eval_sessions[j]
+            session = table[fed_slots[p]]
             self._decide(session, names[k], eager=True)
             decision = self._record(session, "recog", session.last_t, "eager")
             out.append(decision)
@@ -837,33 +914,35 @@ class SessionPool:
         return session.eseq.feature_vector
 
     def _evaluate(
-        self, rows: list[_Session], slots: np.ndarray, n_eager: int
+        self, block: np.ndarray, slots: np.ndarray, n_eager: int
     ) -> tuple[list[int], list[str], int]:
-        """Decide the bank rows of ``rows`` (bank slots ``slots``).
+        """Decide the bank slots ``slots``, whose state columns are
+        ``block`` (from :meth:`FeatureBank.add_points` or ``take``).
 
         The first ``n_eager`` rows are eager candidates: the paper's D
         (the AUC) judges each, and C (the full classifier) names the
         unambiguous ones.  Every later row is named outright.  Rows are
         grouped by the model their session pinned — one fused product
-        per group, and one group, found without a per-row loop, when
-        every row shares a model.  The evaluator's decisions never
-        depend on which other rows share a batch, so grouping cannot
-        change a decision; risky verdicts are re-decided exactly.
+        per group, and no grouping at all while the pool has only ever
+        held its default model.  The evaluator's decisions never depend
+        on which other rows share a batch, so grouping cannot change a
+        decision; risky verdicts are re-decided exactly.
 
         Returns ``(unambiguous, names, fallbacks)``: the unambiguous
         candidates' row indices, the class names of those rows followed
         by the later rows', and the number of exact fallbacks.
         """
-        features, counts, guard_risk = self._bank.features(slots)
-        ids = self._slot_model[slots]
-        if (ids == ids[0]).all():
+        features, counts, guard_risk = FeatureBank.features(block)
+        table = self._slot_session
+        ids = None if self._models_made == 1 else self._slot_model[slots]
+        if ids is None or (ids == ids[0]).all():
             unambiguous, auc_risky, winners, full_risky = (
-                rows[0].model.evaluator.combined_decisions(
+                table[slots[0]].model.evaluator.combined_decisions(
                     features, counts, guard_risk
                 )
             )
         else:
-            n = len(rows)
+            n = len(slots)
             unambiguous = np.zeros(n, dtype=bool)
             auc_risky = np.zeros(n, dtype=bool)
             winners = np.zeros(n, dtype=np.intp)
@@ -875,33 +954,33 @@ class SessionPool:
                     auc_risky[idx],
                     winners[idx],
                     full_risky[idx],
-                ) = rows[idx[0]].model.evaluator.combined_decisions(
+                ) = table[slots[idx[0]]].model.evaluator.combined_decisions(
                     features[idx], counts[idx], guard_risk[idx]
                 )
         redo = np.flatnonzero(auc_risky[:n_eager]).tolist()
         for i in redo:
-            session = rows[i]
-            decide = session.model.recognizer.auc.is_unambiguous
-            unambiguous[i] = self._exact(session, decide)
+            slot = int(slots[i])
+            decide = table[slot].model.recognizer.auc.is_unambiguous
+            unambiguous[i] = self._exact(slot, decide)
         unamb_rows = np.flatnonzero(unambiguous[:n_eager]).tolist()
         fallbacks = len(redo)
         names = []
-        for i in unamb_rows + list(range(n_eager, len(rows))):
-            session = rows[i]
+        for i in unamb_rows + list(range(n_eager, len(slots))):
+            model = table[slots[i]].model
             if full_risky[i]:
                 fallbacks += 1
-                decide = session.model.recognizer.full_classifier.classify_features
-                names.append(self._exact(session, decide))
+                decide = model.recognizer.full_classifier.classify_features
+                names.append(self._exact(int(slots[i]), decide))
             else:
-                names.append(session.model.evaluator.full_names[winners[i]])
+                names.append(model.evaluator.full_names[winners[i]])
         return unamb_rows, names, fallbacks
 
-    def _exact(self, session: _Session, decide):
-        """``decide`` on the session's exact feature vector, read from the
-        bank's log (one exact fallback, profiled when attached)."""
+    def _exact(self, slot: int, decide):
+        """``decide`` on the slot's exact feature vector, read from the
+        bank's log (one exact decision, profiled when attached)."""
         prof = self._profiler
         t_start = perf_counter() if prof is not None else 0.0
-        verdict = decide(self._bank.quality_vector(session.slot))
+        verdict = decide(self._bank.quality_vector(slot))
         if prof is not None:
             prof.add("exact_fallback", perf_counter() - t_start)
         return verdict

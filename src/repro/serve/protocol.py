@@ -70,7 +70,7 @@ import json
 import re
 from math import isfinite
 
-from .pool import Decision
+from .pool import Decision, _Slotted
 
 __all__ = [
     "JSON_FLOAT",
@@ -174,10 +174,10 @@ class ProtocolError(ValueError):
     """A request line that cannot be understood."""
 
 
-class Request:
+class Request(_Slotted):
     """One decoded client request.
 
-    A plain slotted class rather than a dataclass, built positionally
+    A plain slotted record rather than a dataclass, built positionally
     (``op, t, stroke, x, y``).  The server's read decoder builds one per
     line it does not take into a run (see :func:`decode_block`).
     """
@@ -203,26 +203,6 @@ class Request:
         self.max_idle = max_idle
         self.user = user
         self.model = model
-
-    def _fields(self) -> tuple:
-        return (
-            self.op, self.t, self.stroke, self.x, self.y,
-            self.max_idle, self.user, self.model,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "Request(%s)" % ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(self.__slots__, self._fields())
-        )
 
 
 def decode_block(block: bytes, prefix: str, out: list, errors: list) -> int:

@@ -85,9 +85,7 @@ def _assert_prefix_identity(bank_cls, points) -> None:
     slots = np.array([slot])
     inc = IncrementalFeatures()
     for x, y, t in points:
-        bank.add_points(
-            slots, np.array([x]), np.array([y]), np.array([t])
-        )
+        bank.add_points(slots, np.array([[x], [y], [t]]))
         inc.add_point(Point(x, y, t))
         assert bank.quality_vector(slot).tobytes() == inc.vector.tobytes()
 
@@ -118,34 +116,77 @@ def test_sidecar_log_growth_preserves_bit_identity(raw):
 
 @settings(deadline=None, max_examples=15)
 @given(
-    raws=st.lists(grid_strokes, min_size=2, max_size=4),
+    raws=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3), grid_strokes),
+        min_size=2,
+        max_size=4,
+    ),
 )
 def test_interleaved_slots_keep_independent_exact_state(raws):
     """Batched multi-slot ticks: each slot still matches its own replay.
 
-    One tick folds one point into *several* slots at once (the fancy
-    scatter under test); per-slot results must be indistinguishable
-    from feeding each stroke alone.
+    One tick folds one point into *several* slots at once (the masked
+    updates and the log scatter under test); strokes start at different
+    ticks, so one tick mixes press points, anchor points and later
+    points.  Per-slot results must be indistinguishable from feeding
+    each stroke alone.
     """
-    strokes = [_materialize(raw) for raw in raws]
+    strokes = [(start, _materialize(raw)) for start, raw in raws]
     bank = _NarrowBank(len(strokes))
     slots = [bank.open_slot() for _ in strokes]
     refs = [IncrementalFeatures() for _ in strokes]
-    for k in range(max(len(s) for s in strokes)):
-        active = [i for i, s in enumerate(strokes) if k < len(s)]
+    for k in range(max(start + len(s) for start, s in strokes)):
+        active = [
+            i
+            for i, (start, s) in enumerate(strokes)
+            if start <= k < start + len(s)
+        ]
+        if not active:
+            continue
+        points = [strokes[i][1][k - strokes[i][0]] for i in active]
         bank.add_points(
-            np.array([slots[i] for i in active]),
-            np.array([strokes[i][k][0] for i in active]),
-            np.array([strokes[i][k][1] for i in active]),
-            np.array([strokes[i][k][2] for i in active]),
+            np.array([slots[i] for i in active]), np.array(points).T
         )
-        for i in active:
-            refs[i].add_point(Point(*strokes[i][k]))
-        for i in active:
+        for i, point in zip(active, points):
+            refs[i].add_point(Point(*point))
             assert (
                 bank.quality_vector(slots[i]).tobytes()
                 == refs[i].vector.tobytes()
             )
+
+
+def test_long_stroke_spills_once_and_stays_exact(monkeypatch):
+    """A 3,000-turn stroke outgrows the shared log once: the scatter's
+    IndexError path runs on that tick only, and every later tick splits
+    its rows without raising.  The spilled log still equals the scalar
+    replay bit for bit."""
+    raised = []
+    spill = FeatureBank._spill
+
+    def counting_spill(self, tgt, idx, products):
+        if not self._q_spill:  # only the IndexError path gets here empty
+            raised.append(len(tgt))
+        spill(self, tgt, idx, products)
+
+    monkeypatch.setattr(FeatureBank, "_spill", counting_spill)
+    bank = FeatureBank(4)
+    long_slot, short_slot = bank.open_slot(), bank.open_slot()
+    inc = IncrementalFeatures()
+    for k in range(3002):
+        # A zigzag turns on every point; short strokes (a new one every
+        # 40 ticks) ride along in the same ticks and never outgrow the
+        # shared width.
+        x, y, t = 10.0 * k, 10.0 * (k % 2), 0.01 * k
+        bank.add_points(
+            np.array([long_slot, short_slot]),
+            np.array([[x, y, t], [5.0 * (k % 3), 7.0 * (k % 5), t]]).T,
+        )
+        inc.add_point(Point(x, y, t))
+        if k % 40 == 39:
+            bank.close_slot(short_slot)
+            short_slot = bank.open_slot()
+    assert raised == [2]
+    assert bank.quality_vector(long_slot).tobytes() == inc.vector.tobytes()
 
 
 # -- monitor level -----------------------------------------------------------

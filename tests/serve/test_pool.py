@@ -9,6 +9,7 @@ import pytest
 
 from repro.eager import EagerRecognizer
 from repro.serve import (
+    Decision,
     SessionPool,
     compare_modes,
     family_templates,
@@ -40,6 +41,30 @@ def _drive_stroke(pool, key, points, up=True):
 def pool(request, directions_recognizer):
     return SessionPool(
         directions_recognizer, batched=request.param, max_sessions=8
+    )
+
+
+def test_decision_is_a_value():
+    """Decisions compare, hash and print by their fields, and equal only
+    other decisions."""
+    fields = ("k1", "recog", 0.25, "dot", True, 4, 4, "eager")
+    d = Decision(*fields)
+    same = Decision(
+        key="k1",
+        kind="recog",
+        t=0.25,
+        class_name="dot",
+        eager=True,
+        points_seen=4,
+        total_points=4,
+        reason="eager",
+    )
+    assert d == same and hash(d) == hash(same)
+    assert d != Decision("k1", "recog", 0.25, class_name="dot")
+    assert d != fields
+    assert repr(d) == (
+        "Decision(key='k1', kind='recog', t=0.25, class_name='dot', "
+        "eager=True, points_seen=4, total_points=4, reason='eager')"
     )
 
 
