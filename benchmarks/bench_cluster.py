@@ -39,7 +39,13 @@ import time
 import pytest
 from conftest import write_bench_json, write_report
 
-from repro.cluster import Cluster, drive_cluster, reference_lines, workload_ticks
+from repro.cluster import (
+    Cluster,
+    Supervisor,
+    drive_cluster,
+    reference_lines,
+    workload_ticks,
+)
 from repro.cluster.worker import worker_command, worker_env
 from repro.eager import train_eager_recognizer
 from repro.interaction import DEFAULT_TIMEOUT
@@ -156,7 +162,7 @@ def test_cluster_numbers(cluster_bench):
 
         async def run(workers=n):
             async with Cluster(
-                path, workers=workers, timeout=DEFAULT_TIMEOUT
+                Supervisor(path, workers, timeout=DEFAULT_TIMEOUT)
             ) as cluster:
                 await cluster.wait_all_up()
                 host, port = cluster.address
@@ -181,11 +187,11 @@ def test_cluster_numbers(cluster_bench):
     # Crash recovery: SIGKILL one of two workers, time until the
     # replacement is respawned, reconnected, and its replay enqueued.
     async def recovery():
-        async with Cluster(path, workers=2, timeout=DEFAULT_TIMEOUT) as cluster:
+        async with Cluster(Supervisor(path, 2, timeout=DEFAULT_TIMEOUT)) as cluster:
             await cluster.wait_all_up()
             ups = cluster.router.links["w0"].ups
             start = time.perf_counter()
-            assert cluster.kill("w0") is not None
+            assert await cluster.kill("w0") is not None
             await cluster.wait_recovered("w0", ups)
             return time.perf_counter() - start
 

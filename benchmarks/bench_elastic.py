@@ -29,6 +29,7 @@ from conftest import write_bench_json, write_report
 from repro.cluster import (
     Cluster,
     HashRing,
+    Supervisor,
     drive_cluster,
     quantile_from_buckets,
     reference_lines,
@@ -107,9 +108,7 @@ def test_elastic_numbers(tmp_path_factory):
 
     async def run():
         async with Cluster(
-            path,
-            workers=WORKERS_BEFORE,
-            timeout=DEFAULT_TIMEOUT,
+            Supervisor(path, WORKERS_BEFORE, timeout=DEFAULT_TIMEOUT),
             min_workers=1,
             max_workers=WORKERS_AFTER,
         ) as cluster:

@@ -353,7 +353,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     import tempfile
     from contextlib import ExitStack
 
-    from .cluster import Cluster
+    from .cluster import Cluster, Supervisor
 
     # Workers are subprocesses: they load the model from a file.  A
     # --recognizer path is handed straight to them; any other source is
@@ -370,22 +370,25 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             recognizer.save(path)
 
         async def run() -> None:
-            async with Cluster(
+            supervisor = Supervisor(
                 path,
-                workers=args.workers,
-                host=args.host,
-                port=args.port,
+                args.workers,
                 timeout=args.timeout,
                 max_sessions=args.max_sessions,
-                metrics=not args.no_metrics,
                 registry=args.registry,
                 quality=args.quality,
                 quality_sample=args.quality_sample,
                 quality_seed=args.quality_seed,
+                model_cache=args.model_cache,
+            )
+            async with Cluster(
+                supervisor,
+                host=args.host,
+                port=args.port,
+                metrics=not args.no_metrics,
                 min_workers=args.min_workers,
                 max_workers=args.max_workers,
                 autoscale=args.autoscale,
-                model_cache=args.model_cache,
             ) as cluster:
                 await cluster.wait_all_up()
                 host, port = cluster.address
@@ -541,7 +544,13 @@ def _loadgen_cluster(args: argparse.Namespace, recognizer, workload) -> int:
     import tempfile
     import time
 
-    from .cluster import Cluster, drive_cluster, reference_lines, workload_ticks
+    from .cluster import (
+        Cluster,
+        Supervisor,
+        drive_cluster,
+        reference_lines,
+        workload_ticks,
+    )
     from .interaction import DEFAULT_TIMEOUT
 
     if args.trace or args.profile or args.metrics_out:
@@ -586,14 +595,15 @@ def _loadgen_cluster(args: argparse.Namespace, recognizer, workload) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
             path = os.path.join(tmp, "recognizer.json")
             recognizer.save(path)
-            async with Cluster(
+            supervisor = Supervisor(
                 path,
-                workers=args.cluster,
+                args.cluster,
                 timeout=DEFAULT_TIMEOUT,
                 quality=args.quality,
                 quality_sample=args.quality_sample,
                 quality_seed=args.quality_seed,
-            ) as cluster:
+            )
+            async with Cluster(supervisor) as cluster:
                 await cluster.wait_all_up()
                 host, port = cluster.address
                 t0 = time.perf_counter()

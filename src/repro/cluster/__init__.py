@@ -17,10 +17,14 @@ one core.  This package shards it without changing its meaning:
   fleet-wide ``stats`` merging;
 * :mod:`~repro.cluster.elastic` — :class:`Autoscaler`, the pure
   watermark/hysteresis decision core behind ``--autoscale``;
-* :mod:`~repro.cluster.harness` — :class:`Cluster` (all of the above as
-  one object: drain-by-migration, ``join``, ``scale_to``) and the
-  deterministic driver/reference pair behind the invariance tests and
-  ``benchmarks/bench_cluster.py`` / ``benchmarks/bench_elastic.py``.
+* :mod:`~repro.cluster.harness` — :class:`Cluster`, the one fleet core:
+  a router in front of a *launcher*'s workers, with drain-by-migration,
+  ``join`` and ``scale_to``.  The :class:`Supervisor` is the launcher
+  in production; the chaos suites plug an in-process launcher of
+  ``GestureServer`` workers into the same class.  Beside it, the
+  deterministic event-script driver and single-pool reference behind
+  the invariance tests and ``benchmarks/bench_cluster.py`` /
+  ``benchmarks/bench_elastic.py``.
 
 The load-bearing claim, pinned by ``tests/cluster/``: for any worker
 count, across any schedule of crashes, joins, drains, scales, and
@@ -39,7 +43,10 @@ _EXPORTS = {
     "quantile_from_buckets": "elastic",
     "Cluster": "harness",
     "drive_cluster": "harness",
+    "drive_events": "harness",
+    "reference_events": "harness",
     "reference_lines": "harness",
+    "tick_events": "harness",
     "workload_ticks": "harness",
     "SessionRecord": "journal",
     "replay_lines": "journal",

@@ -55,10 +55,12 @@ the fleet to ``n`` workers.
 Live migration reuses the crash-replay machinery against a *planned*
 move: the migrating session's journal (ops, clock markers, and a
 one-shot ``pin`` carrying the model it bound at open) is replayed into
-the destination via the normal worker hop, already-forwarded replies
-are suppressed by count, a ``release`` tells the source to forget the
-session (stale in-flight replies are dropped until its ack), and the
-record is atomically re-pointed.  ``migrate_off`` empties a shard;
+the destination via the normal worker hop (each clock marker as the
+session's own ``expire``: a warm destination's clock is already past
+it), already-forwarded replies are suppressed by count, a ``release``
+tells the source to forget the session (stale in-flight replies are
+dropped until its ack), and the record is atomically re-pointed.
+``migrate_off`` empties a shard;
 ``rebalance`` migrates exactly the sessions a ring change moves
 (:meth:`HashRing.plan_rebalance` bounds that set).
 
@@ -82,6 +84,7 @@ from time import perf_counter
 from ..serve import DEFAULT_MAX_LINE, LineReader
 from ..serve.framing import negotiate
 from ..serve.protocol import (
+    INTERNAL_OPS,
     ProtocolError,
     decode_payload,
     encode_error,
@@ -95,6 +98,9 @@ from .ring import HashRing
 __all__ = ["Router"]
 
 _NEG_INF = float("-inf")
+
+# How every journaled clock marker (and replay's trailing tick) starts.
+_TICK_PREFIX = '{"op": "tick"'
 
 # The cap on one worker reply line.  Worker replies are trusted output,
 # and a worker's ``stats`` reply grows with its metric count (more so
@@ -300,9 +306,9 @@ class Router:
         # The broadcast clock's journal marker, encoded once per barrier
         # instead of once per journalled op (see SessionRecord.journal).
         self._clock_line: str | None = None
-        # Sweeps ever broadcast (or force-sent): quiesce() loops until a
-        # barrier round completes with this unchanged, because a sweep
-        # racing a migration is the one thing replay cannot repair.
+        # Sweeps ever broadcast: quiesce() loops until a barrier round
+        # completes with this unchanged, because a sweep racing a
+        # migration is the one thing replay cannot repair.
         self._sweeps_broadcast = 0
         self._server: asyncio.AbstractServer | None = None
         # Each connected client's handler task and its stream writer.
@@ -735,7 +741,7 @@ class Router:
             client.push(encode_error(str(exc)))
             return None
         op = request.op
-        if op == "release" or op == "pin":
+        if op in INTERNAL_OPS:
             # Migration internals the router speaks to its *workers*;
             # from a client they could silently corrupt live sessions.
             client.push(
@@ -859,18 +865,6 @@ class Router:
             link.extras.append((self._next_seq(), self._clock_line))
         link.extras.append((self._next_seq(), line))
 
-    def force_sweep(self, shard: str, max_idle: float = 0.0) -> None:
-        """Send a targeted ``sweep`` to one shard — the drain-deadline
-        hammer.  Journaled exactly like a broadcast sweep, so a crash
-        between send and processing still replays the eviction."""
-        link = self.links[shard]
-        line = json.dumps({"op": "sweep", "max_idle": max_idle})
-        self._sweeps_broadcast += 1
-        if link.state == "up":
-            link.queue.put_nowait(line)
-        if shard not in self.retired:
-            self._journal_sweep(link, line)
-
     # -- live migration ------------------------------------------------------
 
     async def quiesce(self) -> None:
@@ -984,12 +978,23 @@ class Router:
                 )
             )
         final_t = None if self._clock == _NEG_INF else self._clock
-        lines = replay_lines([record], extras, final_t=final_t)
         record.skip = record.delivered
         record.shard = dest
         dest_link = self.links[dest]
         if dest_link.state == "up":
-            for line in lines:
+            # A warm destination's clock already stands at the present,
+            # so a replayed tick would judge this session's timeouts
+            # there.  Each clock marker (and the trailing tick) becomes
+            # the session's own ``expire``, judged at the marker's t.
+            for line in replay_lines([record], extras, final_t=final_t):
+                if line.startswith(_TICK_PREFIX):
+                    line = json.dumps(
+                        {
+                            "op": "expire",
+                            "stroke": record.key,
+                            "t": json.loads(line)["t"],
+                        }
+                    )
                 dest_link.queue.put_nowait(line)
         # A down destination is fine: the record now belongs to it, so
         # its next worker_up cold-replays the journal — and a cold
@@ -1054,14 +1059,19 @@ class Router:
                 break
         self.links[shard] = link
 
-    def load_sample(self) -> dict:
-        """A synchronous load snapshot for the autoscaler: live shard
-        count, session totals, and the deepest outbound worker queue."""
-        live = [
+    def live_shards(self) -> list[str]:
+        """Shards that take sessions: linked, neither draining nor
+        retired, in link order (the order shards joined)."""
+        return [
             s
             for s in self.links
             if s not in self.retired and s not in self.draining
         ]
+
+    def load_sample(self) -> dict:
+        """A synchronous load snapshot for the autoscaler: live shard
+        count, session totals, and the deepest outbound worker queue."""
+        live = self.live_shards()
         max_queue = 0
         for shard in live:
             queue = self.links[shard].queue
@@ -1183,8 +1193,7 @@ class Router:
         if self.drain_hook is None:
             client.push(encode_error("drain unavailable: no supervisor"))
             return
-        live = {s for s in self.links if s not in self.draining | self.retired}
-        if len(live) <= 1:
+        if len(self.live_shards()) <= 1:
             client.push(encode_error("cannot drain the last live shard"))
             return
         asyncio.get_running_loop().create_task(self.drain_hook(shard))

@@ -63,7 +63,14 @@ class WorkerHandle:
 
 
 class Supervisor:
-    """Keep one worker process alive per shard."""
+    """Keep one worker process alive per shard.
+
+    ``shards`` names the shards, or counts them (``2`` is ``w0``,
+    ``w1``).  This is the launcher :class:`~repro.cluster.Cluster`
+    drives in production: ``on_up``/``on_down`` are wired to its
+    router, and ``start``/``stop``/``add_shard``/``retire``/``kill``/
+    ``status`` are the launcher shape.
+    """
 
     def __init__(
         self,
@@ -95,7 +102,11 @@ class Supervisor:
         self.quality = quality
         self.quality_sample = quality_sample
         self.quality_seed = quality_seed
-        self.shards = tuple(shards)
+        self.shards = (
+            tuple(f"w{i}" for i in range(shards))
+            if isinstance(shards, int)
+            else tuple(shards)
+        )
         self.timeout = timeout
         self.max_sessions = max_sessions
         self.heartbeat = heartbeat
@@ -150,8 +161,10 @@ class Supervisor:
             with suppress(asyncio.CancelledError):
                 await handle.monitor
 
-    def kill(self, shard: str) -> int | None:
-        """SIGKILL a worker (chaos/testing); the monitor restarts it."""
+    async def kill(self, shard: str) -> int | None:
+        """SIGKILL a worker (chaos/testing); the monitor restarts it.
+
+        Returns the killed pid, or None when no process was running."""
         handle = self.workers[shard]
         if handle.proc is not None and handle.proc.returncode is None:
             pid = handle.proc.pid

@@ -437,42 +437,64 @@ class SessionPool:
                 floor = s.last_t
         self._scan_floor = floor
         if expired:
-            quality = self._quality
-            if self.batched:
-                if len(expired) < _EXACT_TIMEOUT_ROWS:
-                    # Decided, not fallen back: counted in batch.rows only.
-                    n_fallbacks = 0
-                    names = [
-                        self._exact(
-                            s.slot,
-                            s.model.recognizer.full_classifier.classify_features,
-                        )
-                        for s in expired
-                    ]
-                else:
-                    slots = np.array([s.slot for s in expired], np.int64)
-                    _, names, n_fallbacks = self._evaluate(
-                        self._bank.take(slots), slots, 0
-                    )
-                obs = self.observer
-                if obs is not None:
-                    obs.timeout_round(len(expired), n_fallbacks)
-            else:
-                names = [s.eseq.finish() for s in expired]
-            for session, name in zip(expired, names):
-                self._decide(session, name, eager=False)
-                decision = self._record(
-                    session, "recog", session.last_t + self.timeout, "timeout"
-                )
-                out.append(decision)
-                if quality is not None:
-                    quality.decided(
-                        session.first_t, decision, self._quality_vector(session)
-                    )
+            self._time_out(expired, out)
         obs = self.observer
         if obs is not None and out:
             obs.decisions(out)
         return out
+
+    def expire(self, key: str, t: float) -> list[Decision]:
+        """Apply buffered input, then fire ``key``'s motionless timeout
+        if it is due at ``t``, without moving the clock.
+
+        Live migration replays a session's journal into a pool whose
+        clock already stands past the journal's clock markers; judging
+        the session against each marker's own ``t`` walks the decision
+        path it walked where it came from.  No other session is judged.
+        """
+        out = self._drain()
+        session = self._undecided.get(key)
+        if session is not None and session.last_t <= t - self.timeout:
+            self._time_out([session], out)
+        obs = self.observer
+        if obs is not None and out:
+            obs.decisions(out)
+        return out
+
+    def _time_out(self, expired: list, out: list[Decision]) -> None:
+        """Decide ``expired`` undecided sessions by motionless timeout."""
+        quality = self._quality
+        if self.batched:
+            if len(expired) < _EXACT_TIMEOUT_ROWS:
+                # Decided, not fallen back: counted in batch.rows only.
+                n_fallbacks = 0
+                names = [
+                    self._exact(
+                        s.slot,
+                        s.model.recognizer.full_classifier.classify_features,
+                    )
+                    for s in expired
+                ]
+            else:
+                slots = np.array([s.slot for s in expired], np.int64)
+                _, names, n_fallbacks = self._evaluate(
+                    self._bank.take(slots), slots, 0
+                )
+            obs = self.observer
+            if obs is not None:
+                obs.timeout_round(len(expired), n_fallbacks)
+        else:
+            names = [s.eseq.finish() for s in expired]
+        for session, name in zip(expired, names):
+            self._decide(session, name, eager=False)
+            decision = self._record(
+                session, "recog", session.last_t + self.timeout, "timeout"
+            )
+            out.append(decision)
+            if quality is not None:
+                quality.decided(
+                    session.first_t, decision, self._quality_vector(session)
+                )
 
     def evict_idle(self, max_idle: float = DEFAULT_IDLE_TIMEOUT) -> list[Decision]:
         """Drop sessions with no input for ``max_idle`` seconds of virtual time."""

@@ -40,15 +40,20 @@ byte streams are untouched (see :meth:`~repro.serve.SessionPool.
 swap_model`).  The server acks with a ``swap`` reply carrying the
 resolved ``name@version``.
 
-Two further ops are *internal* — the cluster router speaks them to its
-workers during live session migration and rejects them from clients:
-``release`` (``{"op": "release", "stroke": "s1"}``) silently forgets a
-session that migrated away (acked with ``{"kind": "released", ...}``,
-never a decision), and ``pin`` (``{"op": "pin", "stroke": "s1",
-"model": "name@version"}``) one-shot-pins the model the stroke's *next*
-session open must bind — how a migrated session keeps the historical
-model it opened under, even though the destination pool's per-user
-assignments have since moved on (``model: ""`` pins the default).
+Three further ops are *internal* (:data:`INTERNAL_OPS`) — the cluster
+router speaks them to its workers during live session migration and
+rejects them from clients: ``release`` (``{"op": "release", "stroke":
+"s1"}``) silently forgets a session that migrated away (acked with
+``{"kind": "released", ...}``, never a decision); ``pin`` (``{"op":
+"pin", "stroke": "s1", "model": "name@version"}``) one-shot-pins the
+model the stroke's *next* session open must bind — how a migrated
+session keeps the historical model it opened under, even though the
+destination pool's per-user assignments have since moved on
+(``model: ""`` pins the default); and ``expire`` (``{"op": "expire",
+"stroke": "s1", "t": 0.4}``) is a migrated session's own clock marker:
+it fires that one session's motionless timeout if it is due at ``t``
+and leaves the worker's clock, which already stands later, alone (see
+:meth:`~repro.serve.SessionPool.expire`).
 
 Replies (server → client)::
 
@@ -73,6 +78,7 @@ from math import isfinite
 from .pool import Decision, _Slotted
 
 __all__ = [
+    "INTERNAL_OPS",
     "JSON_FLOAT",
     "JSON_NUMBER",
     "JSON_WS",
@@ -90,7 +96,11 @@ __all__ = [
     "op_line_pattern",
 ]
 
-_OPS = ("down", "move", "up", "tick", "sweep", "stats", "swap", "release", "pin")
+# Router -> worker ops of live migration; the router refuses them from
+# clients.
+INTERNAL_OPS = ("release", "pin", "expire")
+
+_OPS = ("down", "move", "up", "tick", "sweep", "stats", "swap") + INTERNAL_OPS
 
 # Ops that may omit ``t`` (it defaults to 0.0, a virtual-clock no-op).
 _OPTIONAL_T = ("sweep", "stats", "release", "pin")
@@ -333,9 +343,10 @@ def decode_payload(payload) -> Request:
     stroke = payload.get("stroke")
     if not isinstance(stroke, str) or not stroke:
         raise ProtocolError("missing stroke id")
-    if op == "release":
-        # Internal (router → worker only): silently forget a session
-        # that migrated away.  Carries no point, produces no decision.
+    if op == "release" or op == "expire":
+        # Internal (router → worker only): forget a session that
+        # migrated away, or judge a migrated-in session's timeout at t.
+        # Neither carries a point.
         return Request(op, t, stroke)
     if op == "pin":
         # Internal (router → worker only): one-shot model pin for the

@@ -418,6 +418,11 @@ class GestureServer:
                     dirty = True
                     released.append((channel, request.stroke))
                     continue
+                if op == "expire":
+                    # A migrated-in session's own clock marker.
+                    decisions.extend(self.pool.expire(key, request.t))
+                    dirty = False
+                    continue
                 if op == "pin":
                     line, applied = self._pin(channel, key, request)
                     dirty = dirty or applied

@@ -51,6 +51,36 @@ def shard_of(stroke: str, workers: int) -> str:
     return HashRing([f"w{i}" for i in range(workers)]).lookup(f"k1:{stroke}")
 
 
+async def admin(host, port, line: str) -> dict:
+    """One admin request on a connection of its own; its reply."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(line.encode() + b"\n")
+    await writer.drain()
+    reply = json.loads(await asyncio.wait_for(reader.readline(), 30))
+    writer.close()
+    await writer.wait_closed()
+    return reply
+
+
+def crash_hooks(cluster, victim: str, at: int) -> dict:
+    """``drive_cluster`` hooks that SIGKILL ``victim`` ahead of tick
+    ``at`` and, before the stats barrier, wait until the supervisor has
+    restarted it and the router has replayed its journals."""
+    ups = {}
+
+    async def before_tick(i, t):
+        if i == at:
+            await cluster.wait_all_up()
+            ups["n"] = cluster.router.links[victim].ups
+            assert await cluster.kill(victim) is not None
+
+    async def before_barrier():
+        await cluster.wait_recovered(victim, ups["n"])
+        await cluster.wait_all_up()
+
+    return {"before_tick": before_tick, "before_barrier": before_barrier}
+
+
 def test_invariance_matches_single_pool(
     recognizer_path, cluster_recognizer, cluster_workload
 ):
@@ -66,7 +96,7 @@ def test_invariance_matches_single_pool(
 
     async def run():
         async with Cluster(
-            recognizer_path, workers=4, timeout=DEFAULT_TIMEOUT
+            Supervisor(recognizer_path, 4, timeout=DEFAULT_TIMEOUT)
         ) as cluster:
             host, port = cluster.address
             return await drive_cluster(host, port, ticks, end_t=end_t)
@@ -104,28 +134,13 @@ def test_invariance_across_worker_crash(
 
     async def run():
         async with Cluster(
-            recognizer_path, workers=4, timeout=DEFAULT_TIMEOUT
+            Supervisor(recognizer_path, 4, timeout=DEFAULT_TIMEOUT)
         ) as cluster:
-            host, port = cluster.address
-            ups_before = {}
-
-            async def before_tick(i, t):
-                if i == mid:
-                    await cluster.wait_all_up()
-                    ups_before["n"] = cluster.router.links[victim].ups
-                    assert cluster.kill(victim) is not None
-
-            async def before_barrier():
-                await cluster.wait_recovered(victim, ups_before["n"])
-                await cluster.wait_all_up()
-
             replies, stats = await drive_cluster(
-                host,
-                port,
+                *cluster.address,
                 ticks,
                 end_t=end_t,
-                before_tick=before_tick,
-                before_barrier=before_barrier,
+                **crash_hooks(cluster, victim, mid),
             )
             return replies, stats, cluster.metrics.snapshot()
 
@@ -164,7 +179,7 @@ def test_invariance_with_faulted_input(
 
     async def run():
         async with Cluster(
-            recognizer_path, workers=3, timeout=DEFAULT_TIMEOUT
+            Supervisor(recognizer_path, 3, timeout=DEFAULT_TIMEOUT)
         ) as cluster:
             host, port = cluster.address
             return await drive_cluster(host, port, ticks, end_t=base.end_t)
@@ -191,18 +206,9 @@ def test_graceful_drain_via_admin_op(
     )
     mid = len(ticks) // 2
 
-    async def admin(host, port, line: str) -> dict:
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(line.encode() + b"\n")
-        await writer.drain()
-        reply = json.loads(await asyncio.wait_for(reader.readline(), 30))
-        writer.close()
-        await writer.wait_closed()
-        return reply
-
     async def run():
         async with Cluster(
-            recognizer_path, workers=3, timeout=DEFAULT_TIMEOUT
+            Supervisor(recognizer_path, 3, timeout=DEFAULT_TIMEOUT)
         ) as cluster:
             host, port = cluster.address
 
@@ -216,8 +222,7 @@ def test_graceful_drain_via_admin_op(
                     }
 
             async def before_barrier():
-                while "w2" not in cluster.router.retired:
-                    await asyncio.sleep(0.05)
+                await cluster.wait_retired("w2")
                 await cluster.wait_all_up()
 
             replies, _ = await drive_cluster(
@@ -243,19 +248,19 @@ def test_graceful_drain_via_admin_op(
 
 def test_supervisor_restarts_with_backoff(recognizer_path):
     async def run():
-        async with Cluster(recognizer_path, workers=2) as cluster:
+        async with Cluster(Supervisor(recognizer_path, 2)) as cluster:
             link = cluster.router.links["w0"]
-            handle = cluster.supervisor.workers["w0"]
+            handle = cluster.launcher.workers["w0"]
             first_pid = handle.pid
             ups = link.ups
-            assert cluster.kill("w0") == first_pid
+            assert await cluster.kill("w0") == first_pid
             await cluster.wait_recovered("w0", ups)
             first_backoff = handle.backoff
             assert handle.restarts == 1
             assert handle.pid != first_pid
             # A second quick crash: backoff must grow, not hot-loop.
             ups = link.ups
-            assert cluster.kill("w0") is not None
+            assert await cluster.kill("w0") is not None
             await cluster.wait_recovered("w0", ups)
             assert handle.restarts == 2
             assert handle.backoff > first_backoff
@@ -296,28 +301,14 @@ def test_timeout_boundary_rescue_survives_crash(
 
     async def run():
         async with Cluster(
-            recognizer_path, workers=2, timeout=DEFAULT_TIMEOUT
+            Supervisor(recognizer_path, 2, timeout=DEFAULT_TIMEOUT)
         ) as cluster:
-            host, port = cluster.address
-            ups_before = {}
-
-            async def before_tick(i, t):
-                if i == 3:  # the rescue group is journaled; now crash
-                    await cluster.wait_all_up()
-                    ups_before["n"] = cluster.router.links["w0"].ups
-                    assert cluster.kill("w0") is not None
-
-            async def before_barrier():
-                await cluster.wait_recovered("w0", ups_before["n"])
-                await cluster.wait_all_up()
-
+            # Crash once the rescue group (tick 2) is journaled.
             return await drive_cluster(
-                host,
-                port,
+                *cluster.address,
                 ticks,
                 end_t=end_t,
-                before_tick=before_tick,
-                before_barrier=before_barrier,
+                **crash_hooks(cluster, "w0", 3),
             )
 
     replies, stats = asyncio.run(run())
@@ -356,46 +347,49 @@ def test_monitor_survives_on_up_connection_failure(recognizer_path):
     assert restarts >= 1
 
 
-def test_drain_migrates_parked_sessions_instead_of_evicting(recognizer_path):
-    # A client that opened a session and went silent used to stall the
-    # drain until a deadline force-sweep evicted it.  Drain is now
-    # migration: the parked session moves to a survivor immediately,
-    # the shard retires promptly, nobody is evicted, and the stroke can
-    # still finish afterwards on its new shard.
+def _drain_parked_session(recognizer_path, source_dead: bool) -> dict:
+    """Park a session on its shard (a down, then silence), drain that
+    shard, then finish the stroke; returns the metrics snapshot.  With
+    ``source_dead`` the shard's worker is killed for good first."""
     victim = shard_of("s0", 2)
 
     async def run():
         async with Cluster(
-            recognizer_path, workers=2, timeout=DEFAULT_TIMEOUT
+            Supervisor(recognizer_path, 2, timeout=DEFAULT_TIMEOUT)
         ) as cluster:
-            host, port = cluster.address
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(*cluster.address)
+
+            async def ask(*lines: bytes) -> dict:
+                writer.write(b"".join(line + b"\n" for line in lines))
+                await writer.drain()
+                return json.loads(await asyncio.wait_for(reader.readline(), 30))
+
             writer.write(
                 b'{"op": "down", "stroke": "s0", "x": 0, "y": 0, "t": 0.0}\n'
                 b'{"op": "tick", "t": 0.0}\n'
-                b'{"op": "drain", "shard": "' + victim.encode() + b'"}\n'
             )
             await writer.drain()
-            drain_reply = json.loads(
-                await asyncio.wait_for(reader.readline(), 30)
-            )
-            assert drain_reply["status"] == "started"
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + 30
-            while victim not in cluster.router.retired:
-                assert loop.time() < deadline
-                await asyncio.sleep(0.02)
-            # The parked session survived the drain, on another shard.
-            record = cluster.router.sessions["k1:s0"]
-            assert record.shard != victim
+            if source_dead:
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 30
+                while not cluster.router.sessions:
+                    assert loop.time() < deadline
+                    await asyncio.sleep(0.02)
+                # Marking the handle retired stops the supervisor from
+                # respawning after the kill.
+                cluster.launcher.workers[victim].retired = True
+                await cluster.kill(victim)
+            drain = b'{"op": "drain", "shard": "' + victim.encode() + b'"}'
+            assert (await ask(drain))["status"] == "started"
+            await cluster.wait_retired(victim, timeout=30)
+            # The parked session survived the drain, on another shard...
+            assert cluster.router.sessions["k1:s0"].shard != victim
             # ...and the client can still finish the stroke there.
-            writer.write(
-                b'{"op": "move", "stroke": "s0", "x": 15, "y": 0, "t": 0.1}\n'
-                b'{"op": "up", "stroke": "s0", "x": 30, "y": 0, "t": 0.2}\n'
-                b'{"op": "tick", "t": 0.2}\n'
+            reply = await ask(
+                b'{"op": "move", "stroke": "s0", "x": 15, "y": 0, "t": 0.1}',
+                b'{"op": "up", "stroke": "s0", "x": 30, "y": 0, "t": 0.2}',
+                b'{"op": "tick", "t": 0.2}',
             )
-            await writer.drain()
-            reply = json.loads(await asyncio.wait_for(reader.readline(), 30))
             writer.close()
             await writer.wait_closed()
             return reply, cluster.metrics.snapshot()
@@ -404,8 +398,18 @@ def test_drain_migrates_parked_sessions_instead_of_evicting(recognizer_path):
     assert reply["stroke"] == "s0"
     assert reply["kind"] not in ("evict", "error")
     assert snapshot["counters"]["cluster.migrations"] == 1
-    assert snapshot["histograms"]["cluster.migration_seconds"]["count"] == 1
     assert snapshot["histograms"]["cluster.drain_seconds"]["count"] == 1
+    return snapshot
+
+
+def test_drain_migrates_parked_sessions_instead_of_evicting(recognizer_path):
+    # A client that opened a session and went silent used to stall the
+    # drain until a deadline force-sweep evicted it.  Drain is now
+    # migration: the parked session moves to a survivor immediately,
+    # the shard retires promptly, nobody is evicted, and the stroke can
+    # still finish afterwards on its new shard.
+    snapshot = _drain_parked_session(recognizer_path, source_dead=False)
+    assert snapshot["histograms"]["cluster.migration_seconds"]["count"] == 1
     assert "cluster.drains_forced" not in snapshot["counters"]
 
 
@@ -414,55 +418,7 @@ def test_drain_completes_without_the_source_worker(recognizer_path):
     # router.  Kill the shard's process with respawn disabled, then
     # drain it — the parked session still moves (its journal replays
     # into the destination) and the drain still completes.
-    victim = shard_of("s0", 2)
-
-    async def run():
-        async with Cluster(
-            recognizer_path, workers=2, timeout=DEFAULT_TIMEOUT
-        ) as cluster:
-            host, port = cluster.address
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                b'{"op": "down", "stroke": "s0", "x": 0, "y": 0, "t": 0.0}\n'
-                b'{"op": "tick", "t": 0.0}\n'
-            )
-            await writer.drain()
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + 30
-            while not cluster.router.sessions:
-                assert loop.time() < deadline
-                await asyncio.sleep(0.02)
-            # Take the worker down for good: marking the handle retired
-            # stops the supervisor from respawning after the kill.
-            cluster.supervisor.workers[victim].retired = True
-            cluster.kill(victim)
-            writer.write(
-                b'{"op": "drain", "shard": "' + victim.encode() + b'"}\n'
-            )
-            await writer.drain()
-            reply = json.loads(await asyncio.wait_for(reader.readline(), 30))
-            assert reply["status"] == "started"
-            while victim not in cluster.router.retired:
-                assert loop.time() < deadline
-                await asyncio.sleep(0.02)
-            record = cluster.router.sessions["k1:s0"]
-            assert record.shard != victim
-            writer.write(
-                b'{"op": "move", "stroke": "s0", "x": 15, "y": 0, "t": 0.1}\n'
-                b'{"op": "up", "stroke": "s0", "x": 30, "y": 0, "t": 0.2}\n'
-                b'{"op": "tick", "t": 0.2}\n'
-            )
-            await writer.drain()
-            reply = json.loads(await asyncio.wait_for(reader.readline(), 30))
-            writer.close()
-            await writer.wait_closed()
-            return reply, cluster.metrics.snapshot()
-
-    reply, snapshot = asyncio.run(run())
-    assert reply["stroke"] == "s0"
-    assert reply["kind"] not in ("evict", "error")
-    assert snapshot["counters"]["cluster.migrations"] == 1
-    assert snapshot["histograms"]["cluster.drain_seconds"]["count"] == 1
+    _drain_parked_session(recognizer_path, source_dead=True)
 
 
 def test_router_rejects_malformed_lines_without_workers():

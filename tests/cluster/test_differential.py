@@ -3,8 +3,8 @@
 Hypothesis drives randomized workloads — interleaved strokes, barriers,
 mid-run sweeps, model swaps, worker crashes, graceful drains, elastic
 joins and scale ops (live session migration), malformed lines, and
-connection churn — through an in-process cluster (a real router in
-front of real ``GestureServer`` workers, see
+connection churn — through production :class:`~repro.cluster.Cluster`
+behind an in-process launcher (real ``GestureServer`` workers, see
 ``tests/cluster/inproc.py``) and asserts the reply streams are
 *byte-identical* to a scripted single-``SessionPool`` reference.  The
 reference is fault-agnostic: crashes, drains, scales, and churn appear
@@ -25,18 +25,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster import workload_ticks
+from repro.cluster import (
+    Cluster,
+    drive_events,
+    reference_events,
+    workload_ticks,
+)
 from repro.serve import ModelRegistry, generate_workload
 from repro.synth import gdp_templates
 
-from .inproc import InProcessCluster, drive_script, reference_script
+from .inproc import InProcessLauncher
 from .test_cluster import DT, assert_byte_identical, end_time
 
 # Raw lines for the router's json/error paths: unparseable bytes, a
 # non-object, an unknown op, a missing field, a late hello, a bad
 # max_idle, and a non-finite x in canonical and in compact form (both
 # match the router's op grammar; only the finiteness check refuses
-# them).  Expected replies are *derived* (inproc._non_op_reply), not
+# them).  Expected replies are *derived* (harness._raw_reply), not
 # hand-written, so these stay in lockstep with the protocol module.
 BAD_LINES = (
     "not json",
@@ -60,10 +65,8 @@ def diff_registry(tmp_path_factory, cluster_recognizer, gdp_recognizer):
     return registry
 
 
-@st.composite
-def cluster_cases(draw):
-    workers = draw(st.integers(min_value=2, max_value=3))
-    clients = draw(st.integers(min_value=2, max_value=3))
+def draw_faults(draw, workers: int):
+    """A crash and a drain: each ``None`` or ``(position, worker)``."""
     crash = draw(
         st.one_of(
             st.none(),
@@ -86,6 +89,41 @@ def cluster_cases(draw):
         # Crashing a shard mid-drain would "restart" a retired worker —
         # a scenario the supervisor never produces.
         drain = None
+    return crash, drain
+
+
+def draw_noise(draw) -> dict:
+    """Malformed lines, mid-run sweeps and connection churn."""
+    return {
+        "bads": draw(
+            st.lists(
+                st.tuples(
+                    st.floats(min_value=0.0, max_value=1.0),
+                    st.sampled_from(BAD_LINES),
+                ),
+                max_size=2,
+            )
+        ),
+        "sweeps": draw(
+            st.lists(
+                st.tuples(
+                    st.floats(min_value=0.1, max_value=0.9),
+                    st.sampled_from([1e9, 0.5, 0.05]),
+                ),
+                max_size=2,
+            )
+        ),
+        "churn": draw(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=1)
+        ),
+    }
+
+
+@st.composite
+def cluster_cases(draw):
+    workers = draw(st.integers(min_value=2, max_value=3))
+    clients = draw(st.integers(min_value=2, max_value=3))
+    crash, drain = draw_faults(draw, workers)
     join = draw(
         st.one_of(st.none(), st.floats(min_value=0.1, max_value=0.9))
     )
@@ -126,27 +164,7 @@ def cluster_cases(draw):
         "join": join,
         "scale": scale,
         "swap": swap,
-        "bads": draw(
-            st.lists(
-                st.tuples(
-                    st.floats(min_value=0.0, max_value=1.0),
-                    st.sampled_from(BAD_LINES),
-                ),
-                max_size=2,
-            )
-        ),
-        "sweeps": draw(
-            st.lists(
-                st.tuples(
-                    st.floats(min_value=0.1, max_value=0.9),
-                    st.sampled_from([1e9, 0.5, 0.05]),
-                ),
-                max_size=2,
-            )
-        ),
-        "churn": draw(
-            st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=1)
-        ),
+        **draw_noise(draw),
         "rawop_at": draw(
             st.one_of(st.none(), st.floats(min_value=0.1, max_value=0.8))
         ),
@@ -205,33 +223,40 @@ def build_script(case, ticks, end_t):
     script.append(("tick", end_t))
     script.append(("sweep", 0.0))
     if case["drain"] is not None:
-        script.append(("wait_retired", f"w{case['drain'][1]}"))
+        shard = f"w{case['drain'][1]}"
+        script.append(("wait", lambda cluster: cluster.wait_retired(shard)))
     if case["scale"] is not None:
         # Block until the async scale task converged: every migration
         # it plans is then enqueued ahead of the stats barrier.
-        script.append(("wait_workers", case["scale"][1]))
+        workers = case["scale"][1]
+        script.append(("wait", lambda cluster: cluster.wait_live(workers)))
     return script
 
 
-def _run_case(case, recognizer, registry) -> None:
-    workload = generate_workload(
-        gdp_templates(),
-        clients=case["clients"],
-        gestures_per_client=case["gestures"],
-        seed=case["seed"],
-    )
+def _run_case(case, recognizer, registry=None, workload=None) -> None:
+    """Weave the case's chaos into ``workload`` (GDP traffic by
+    default), play it through the cluster, and diff every reply byte
+    against the single-pool reference."""
+    if workload is None:
+        workload = generate_workload(
+            gdp_templates(),
+            clients=case["clients"],
+            gestures_per_client=case["gestures"],
+            seed=case["seed"],
+        )
     ticks = workload_ticks(workload, dt=DT)
     end_t = end_time(ticks)
     script = build_script(case, ticks, end_t)
-    expected = reference_script(recognizer, script, registry=registry)
+    expected = reference_events(recognizer, script, registry=registry)
 
     async def run():
-        async with InProcessCluster(
+        launcher = InProcessLauncher(
             recognizer, case["workers"], registry=registry
-        ) as cluster:
-            return await drive_script(cluster, script)
+        )
+        async with Cluster(launcher) as cluster:
+            return await drive_events(*cluster.address, script, cluster=cluster)
 
-    replies = asyncio.run(run())
+    replies, _ = asyncio.run(run())
     assert_byte_identical(replies, expected)
 
 

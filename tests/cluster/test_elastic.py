@@ -21,6 +21,8 @@ from repro.cluster import (
     Autoscaler,
     Cluster,
     Router,
+    Supervisor,
+    drive_cluster,
     quantile_from_buckets,
     reference_lines,
     workload_ticks,
@@ -28,7 +30,8 @@ from repro.cluster import (
 from repro.cluster.journal import SessionRecord
 from repro.interaction import DEFAULT_TIMEOUT
 
-from .test_cluster import DT, assert_byte_identical, end_time
+from .inproc import InProcessLauncher
+from .test_cluster import DT, admin, assert_byte_identical, end_time
 
 # -- quantile_from_buckets ---------------------------------------------------
 
@@ -224,8 +227,8 @@ def test_load_sample_excludes_retired_and_draining_shards():
 
 
 def test_clients_cannot_send_internal_migration_ops():
-    # ``release`` and ``pin`` are router->worker ops; a client sending
-    # them must get an error, not a forwarded line.
+    # ``release``, ``pin`` and ``expire`` are router->worker ops; a
+    # client sending them must get an error, not a forwarded line.
     async def run():
         router = Router(["w0"])
         await router.start()
@@ -241,6 +244,7 @@ def test_clients_cannot_send_internal_migration_ops():
             for line in (
                 b'{"op": "release", "stroke": "s1"}',
                 b'{"op": "pin", "stroke": "s1", "model": "alt"}',
+                b'{"op": "expire", "stroke": "s1", "t": 0.5}',
             ):
                 reply = await ask(line)
                 assert reply["kind"] == "error"
@@ -267,33 +271,41 @@ def test_clients_cannot_send_internal_migration_ops():
     asyncio.run(run())
 
 
+# -- topology policy ---------------------------------------------------------
+
+
+def test_topology_policy_of_the_cluster_the_chaos_suites_drive(
+    cluster_recognizer,
+):
+    """The in-process launcher drives production ``Cluster``, so its
+    policy holds there: ``scale_to`` clamps to ``[min_workers,
+    max_workers]``, every join counts ``cluster.joins``, and every
+    drain counts ``cluster.drains`` and observes
+    ``cluster.drain_seconds``."""
+
+    async def run():
+        async with Cluster(
+            InProcessLauncher(cluster_recognizer, 2),
+            min_workers=2,
+            max_workers=3,
+        ) as cluster:
+            live = cluster.router.live_shards
+            await cluster.scale_to(1)
+            assert live() == ["w0", "w1"]
+            await cluster.scale_to(9)
+            assert live() == ["w0", "w1", "w2"]
+            await cluster.scale_to(1)
+            assert live() == ["w0", "w1"]
+            assert cluster.router.retired == {"w2"}
+            return cluster.metrics.snapshot()
+
+    snapshot = asyncio.run(run())
+    assert snapshot["counters"]["cluster.joins"] == 1
+    assert snapshot["counters"]["cluster.drains"] == 1
+    assert snapshot["histograms"]["cluster.drain_seconds"]["count"] == 1
+
+
 # -- end to end --------------------------------------------------------------
-
-
-async def _admin(host, port, line: str) -> dict:
-    reader, writer = await asyncio.open_connection(host, port)
-    writer.write(line.encode() + b"\n")
-    await writer.drain()
-    reply = json.loads(await asyncio.wait_for(reader.readline(), 30))
-    writer.close()
-    await writer.wait_closed()
-    return reply
-
-
-def _live(cluster) -> set:
-    return {
-        s
-        for s in cluster.router.links
-        if s not in cluster.router.retired and s not in cluster.router.draining
-    }
-
-
-async def _wait_live(cluster, n: int) -> None:
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + 60
-    while len(_live(cluster)) != n or cluster.router.draining:
-        assert loop.time() < deadline, (_live(cluster), n)
-        await asyncio.sleep(0.02)
 
 
 def test_scale_cycle_2_4_2_with_destination_kill(
@@ -318,12 +330,8 @@ def test_scale_cycle_2_4_2_with_destination_kill(
     in_at = 2 * len(ticks) // 3
 
     async def run():
-        from repro.cluster import drive_cluster
-
         async with Cluster(
-            recognizer_path,
-            workers=2,
-            timeout=DEFAULT_TIMEOUT,
+            Supervisor(recognizer_path, 2, timeout=DEFAULT_TIMEOUT),
             min_workers=1,
             max_workers=6,
         ) as cluster:
@@ -332,7 +340,7 @@ def test_scale_cycle_2_4_2_with_destination_kill(
 
             async def before_tick(i, t):
                 if i == out_at:
-                    reply = await _admin(
+                    reply = await admin(
                         host, port, '{"op": "scale", "workers": 4}'
                     )
                     assert reply == {
@@ -351,16 +359,16 @@ def test_scale_cycle_2_4_2_with_destination_kill(
                                 break
                         await asyncio.sleep(0)
                     ups = cluster.router.links[victim].ups
-                    assert cluster.kill(victim) is not None
+                    assert await cluster.kill(victim) is not None
                     await cluster.wait_recovered(victim, ups)
-                    await _wait_live(cluster, 4)
+                    await cluster.wait_live(4)
                     await cluster.wait_all_up()
                 if i == in_at:
-                    reply = await _admin(
+                    reply = await admin(
                         host, port, '{"op": "scale", "workers": 2}'
                     )
                     assert reply["status"] == "started"
-                    await _wait_live(cluster, 2)
+                    await cluster.wait_live(2)
 
             async def before_barrier():
                 await cluster.wait_all_up()
@@ -373,7 +381,7 @@ def test_scale_cycle_2_4_2_with_destination_kill(
                 before_tick=before_tick,
                 before_barrier=before_barrier,
             )
-            status = await _admin(host, port, '{"op": "cluster"}')
+            status = await admin(host, port, '{"op": "cluster"}')
             return replies, stats, status, cluster.metrics.snapshot()
 
     replies, stats, status, snapshot = asyncio.run(run())
@@ -416,9 +424,7 @@ def test_autoscaler_scales_a_live_cluster_out(recognizer_path):
 
     async def run():
         async with Cluster(
-            recognizer_path,
-            workers=1,
-            timeout=DEFAULT_TIMEOUT,
+            Supervisor(recognizer_path, 1, timeout=DEFAULT_TIMEOUT),
             min_workers=1,
             max_workers=2,
             autoscale=scaler,
@@ -430,7 +436,7 @@ def test_autoscaler_scales_a_live_cluster_out(recognizer_path):
                 b'{"op": "tick", "t": 0.0}\n'
             )
             await writer.drain()
-            await _wait_live(cluster, 2)
+            await cluster.wait_live(2)
             await cluster.wait_all_up()
             # Finish the stroke on the (possibly migrated) session.
             writer.write(

@@ -3,29 +3,24 @@
 The tentpole's serving claim is that modalities ride the protocol
 *unchanged*: a cluster serving tap/hold/scroll/swipe traffic — and
 two-finger ``:a``/``:b`` pair sessions — replies byte-identically to a
-scripted single ``SessionPool``, chaos included.  The event weaving is
-the same machinery as ``test_differential``; only the traffic (and the
-trained model) is modal.
+scripted single ``SessionPool``, chaos included.  The event weaving and
+the run are ``test_differential``'s; only the traffic (and the trained
+model) is modal.
 """
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.cluster import workload_ticks
 from repro.eager import train_eager_recognizer
 from repro.modal import generate_pair_workload
 from repro.serve import generate_workload
 from repro.synth import GestureGenerator, modal_templates, pinch_templates
 from repro.synth.modal import swipe_templates
 
-from .inproc import InProcessCluster, drive_script, reference_script
-from .test_cluster import DT, assert_byte_identical, end_time
-from .test_differential import BAD_LINES, build_script
+from .test_differential import BAD_LINES, _run_case, draw_faults, draw_noise
 
 _TEMPLATES = {
     "modal": modal_templates,
@@ -60,26 +55,7 @@ def _modal_workload(family: str, clients: int, gestures: int, seed: int):
 @st.composite
 def modal_cases(draw):
     workers = draw(st.integers(min_value=2, max_value=3))
-    crash = draw(
-        st.one_of(
-            st.none(),
-            st.tuples(
-                st.floats(min_value=0.1, max_value=0.9),
-                st.integers(min_value=0, max_value=workers - 1),
-            ),
-        )
-    )
-    drain = draw(
-        st.one_of(
-            st.none(),
-            st.tuples(
-                st.floats(min_value=0.2, max_value=0.8),
-                st.integers(min_value=0, max_value=workers - 1),
-            ),
-        )
-    )
-    if crash is not None and drain is not None and crash[1] == drain[1]:
-        drain = None
+    crash, drain = draw_faults(draw, workers)
     return {
         "family": draw(st.sampled_from(sorted(_TEMPLATES))),
         "workers": workers,
@@ -92,49 +68,40 @@ def modal_cases(draw):
         "scale": None,
         "swap": None,
         "rawop_at": None,
-        "bads": draw(
-            st.lists(
-                st.tuples(
-                    st.floats(min_value=0.0, max_value=1.0),
-                    st.sampled_from(BAD_LINES),
-                ),
-                max_size=2,
-            )
-        ),
-        "sweeps": draw(
-            st.lists(
-                st.tuples(
-                    st.floats(min_value=0.1, max_value=0.9),
-                    st.sampled_from([1e9, 0.5, 0.05]),
-                ),
-                max_size=2,
-            )
-        ),
-        "churn": draw(
-            st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=1)
-        ),
+        **draw_noise(draw),
     }
 
 
 def _run_modal_case(case, recognizers) -> None:
-    recognizer = recognizers[case["family"]]
     workload = _modal_workload(
         case["family"], case["clients"], case["gestures"], case["seed"]
     )
-    ticks = workload_ticks(workload, dt=DT)
-    end_t = end_time(ticks)
-    script = build_script(case, ticks, end_t)
-    expected = reference_script(recognizer, script)
-
-    async def run():
-        async with InProcessCluster(recognizer, case["workers"]) as cluster:
-            return await drive_script(cluster, script)
-
-    replies = asyncio.run(run())
-    assert_byte_identical(replies, expected)
+    _run_case(case, recognizers[case["family"]], workload=workload)
 
 
 @given(case=modal_cases())
+# A drain migrates a pinch finger held past the motionless timeout into
+# a warm worker, whose clock already stands at the present; the
+# session's replayed timeouts must still be judged at its journaled
+# clock markers, not there.
+@example(
+    case={
+        "family": "pinch",
+        "workers": 2,
+        "clients": 2,
+        "gestures": 1,
+        "seed": 0,
+        "crash": None,
+        "drain": (0.5, 0),
+        "join": None,
+        "scale": None,
+        "swap": None,
+        "rawop_at": None,
+        "bads": [],
+        "sweeps": [],
+        "churn": [0.75],
+    }
+)
 def test_differential_modal_cluster_vs_pool(case, modal_cluster_recognizers):
     _run_modal_case(case, modal_cluster_recognizers)
 

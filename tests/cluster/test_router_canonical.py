@@ -25,13 +25,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster import Router
+from repro.cluster import Cluster, Router
 from repro.cluster.router import _Client, _Mailbox
 from repro.serve import GestureServer, ProtocolError, decode_request
 from repro.serve.protocol import JSON_NUMBER, encode_error, op_line_pattern
 
 from ..serve.test_canonical_wire import NUMBER_TEXTS
-from .inproc import InProcessCluster
+from .inproc import InProcessLauncher
 
 _CANONICAL = re.compile(op_line_pattern(JSON_NUMBER))
 
@@ -212,7 +212,7 @@ def test_non_finite_ops_get_the_direct_workers_bytes(cluster_recognizer):
             direct = await _ask(*server.address, lines)
         finally:
             await server.stop()
-        async with InProcessCluster(cluster_recognizer, 2) as cluster:
+        async with Cluster(InProcessLauncher(cluster_recognizer, 2)) as cluster:
             routed = await _ask(*cluster.address, lines)
             return direct, routed, dict(cluster.router.sessions)
 

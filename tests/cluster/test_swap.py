@@ -2,8 +2,8 @@
 
 The swap travels the same single client connection as the strokes (the
 router namespaces swap users per client exactly like stroke keys), so
-these tests drive the cluster with a small variant of ``drive_cluster``
-that can inject raw protocol lines ahead of a chosen tick.
+these tests play the plain tick script (``tick_events``) with a
+``swap`` event ahead of it, through ``drive_events``.
 
 The load-bearing claims:
 
@@ -24,92 +24,18 @@ import json
 
 import pytest
 
-from repro.cluster import Cluster, HashRing, reference_lines, workload_ticks
+from repro.cluster import (
+    Cluster,
+    Supervisor,
+    drive_events,
+    reference_lines,
+    tick_events,
+    workload_ticks,
+)
 from repro.interaction import DEFAULT_TIMEOUT
 from repro.serve import ModelRegistry, encode_swap
 
-DT = 0.01
-
-
-def end_time(ticks) -> float:
-    return len(ticks) * DT + DEFAULT_TIMEOUT + DT
-
-
-def shard_of(stroke: str, workers: int) -> str:
-    return HashRing([f"w{i}" for i in range(workers)]).lookup(f"k1:{stroke}")
-
-
-async def drive_with_lines(
-    host,
-    port,
-    ticks,
-    *,
-    end_t,
-    inject=None,
-    before_tick=None,
-    before_barrier=None,
-    barrier_timeout: float = 120.0,
-):
-    """``drive_cluster`` plus raw lines injected ahead of chosen ticks.
-
-    ``inject`` maps a tick index to a list of request dicts written
-    verbatim before that tick's op group — how a swap rides the stroke
-    stream at a deterministic position.  Non-stroke replies (swap acks,
-    errors) land under key ``""`` like in ``drive_cluster``.
-    """
-    inject = inject or {}
-    reader, writer = await asyncio.open_connection(host, port)
-    replies: dict[str, list[str]] = {}
-    stats: dict | None = None
-    done = asyncio.Event()
-
-    async def read_replies() -> None:
-        nonlocal stats
-        while True:
-            raw = await reader.readline()
-            if not raw:
-                break
-            obj = json.loads(raw)
-            if obj.get("kind") == "stats":
-                stats = obj
-                done.set()
-                break
-            replies.setdefault(obj.get("stroke", ""), []).append(
-                raw.decode().rstrip("\n")
-            )
-
-    read_task = asyncio.get_running_loop().create_task(read_replies())
-    try:
-        for i, (t, group) in enumerate(ticks):
-            if before_tick is not None:
-                await before_tick(i, t)
-            out = [json.dumps(extra) for extra in inject.get(i, ())]
-            out.extend(
-                json.dumps({"op": name, "stroke": key, "x": x, "y": y, "t": t})
-                for name, key, x, y in group
-            )
-            out.append(json.dumps({"op": "tick", "t": t}))
-            writer.write(("\n".join(out) + "\n").encode())
-            await writer.drain()
-        tail = [
-            json.dumps({"op": "tick", "t": end_t}),
-            json.dumps({"op": "sweep", "max_idle": 0.0}),
-        ]
-        writer.write(("\n".join(tail) + "\n").encode())
-        await writer.drain()
-        if before_barrier is not None:
-            await before_barrier()
-        writer.write(b'{"op": "stats"}\n')
-        await writer.drain()
-        await asyncio.wait_for(done.wait(), timeout=barrier_timeout)
-    finally:
-        read_task.cancel()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    return replies, stats
+from .test_cluster import DT, crash_hooks, end_time, shard_of
 
 
 @pytest.fixture(scope="session")
@@ -131,6 +57,7 @@ def recog_classes(lines) -> list[str]:
 
 
 SWAP_USER = "c0g"  # prefixes both of client c0's strokes: c0g0, c0g1
+SWAP = ("swap", SWAP_USER, "alt", 0.0)
 
 
 def test_swap_rebinds_user_and_preserves_other_streams(
@@ -153,19 +80,15 @@ def test_swap_rebinds_user_and_preserves_other_streams(
     )
     swapped_strokes = {s for s in reference if s.startswith(SWAP_USER)}
     assert swapped_strokes  # the workload really contains client c0
-    swap = {"op": "swap", "user": SWAP_USER, "model": "alt", "t": 0.0}
+    events = [SWAP] + tick_events(ticks, end_t=end_t)
 
     async def run():
         async with Cluster(
-            recognizer_path,
-            workers=4,
-            timeout=DEFAULT_TIMEOUT,
-            registry=registry_root,
-        ) as cluster:
-            host, port = cluster.address
-            replies, stats = await drive_with_lines(
-                host, port, ticks, end_t=end_t, inject={0: [swap]}
+            Supervisor(
+                recognizer_path, 4, timeout=DEFAULT_TIMEOUT, registry=registry_root
             )
+        ) as cluster:
+            replies, stats = await drive_events(*cluster.address, events)
             return replies, stats, cluster.metrics.snapshot()
 
     replies, stats, snapshot = asyncio.run(run())
@@ -195,7 +118,6 @@ def test_swap_survives_worker_crash_exactly_once(
     registry_root, version = swap_registry_path
     ticks = workload_ticks(cluster_workload, dt=DT)
     end_t = end_time(ticks)
-    swap = {"op": "swap", "user": SWAP_USER, "model": "alt", "t": 0.0}
     # Kill the shard that owns the swapped user's *second* gesture: its
     # session opens after the restart, so a correct run proves the
     # journal replayed the swap ahead of the replayed/future sessions.
@@ -204,34 +126,13 @@ def test_swap_survives_worker_crash_exactly_once(
 
     async def run(crash: bool):
         async with Cluster(
-            recognizer_path,
-            workers=4,
-            timeout=DEFAULT_TIMEOUT,
-            registry=registry_root,
-        ) as cluster:
-            host, port = cluster.address
-            ups_before = {}
-
-            async def before_tick(i, t):
-                if crash and i == mid:
-                    await cluster.wait_all_up()
-                    ups_before["n"] = cluster.router.links[victim].ups
-                    assert cluster.kill(victim) is not None
-
-            async def before_barrier():
-                if crash:
-                    await cluster.wait_recovered(victim, ups_before["n"])
-                    await cluster.wait_all_up()
-
-            replies, stats = await drive_with_lines(
-                host,
-                port,
-                ticks,
-                end_t=end_t,
-                inject={0: [swap]},
-                before_tick=before_tick,
-                before_barrier=before_barrier,
+            Supervisor(
+                recognizer_path, 4, timeout=DEFAULT_TIMEOUT, registry=registry_root
             )
+        ) as cluster:
+            hooks = crash_hooks(cluster, victim, mid) if crash else {}
+            events = [SWAP] + tick_events(ticks, end_t=end_t, **hooks)
+            replies, stats = await drive_events(*cluster.address, events)
             return replies, stats, cluster.metrics.snapshot()
 
     clean, _, _ = asyncio.run(run(crash=False))
@@ -251,17 +152,13 @@ def test_swap_survives_worker_crash_exactly_once(
 
 
 def test_registry_less_cluster_rejects_swap(recognizer_path):
-    swap = {"op": "swap", "user": "u", "model": "alt", "t": 0.0}
-    ticks = [(0.0, [])]
+    events = [("swap", "u", "alt", 0.0)] + tick_events([(0.0, [])], end_t=0.1)
 
     async def run():
         async with Cluster(
-            recognizer_path, workers=2, timeout=DEFAULT_TIMEOUT
+            Supervisor(recognizer_path, 2, timeout=DEFAULT_TIMEOUT)
         ) as cluster:
-            host, port = cluster.address
-            replies, _ = await drive_with_lines(
-                host, port, ticks, end_t=0.1, inject={0: [swap]}
-            )
+            replies, _ = await drive_events(*cluster.address, events)
             return replies
 
     replies = asyncio.run(run())

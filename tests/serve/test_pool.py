@@ -97,6 +97,23 @@ class TestLifecycle:
         # The session survives the decision, in its manipulation phase.
         assert "s1" in pool
 
+    def test_expire_judges_one_session_at_t_and_leaves_the_clock(self, pool):
+        # A migrated-in session replays into a pool whose clock already
+        # stands later; expire judges its timeout at the marker's t,
+        # never at the present, and judges no other session.
+        assert pool.advance_to(5.0) == []
+        points = [(x, y, t + 4.0) for x, y, t in _square_points(2)]
+        for i, (x, y, t) in enumerate(points):
+            (pool.down if i == 0 else pool.move)("old", x, y, t)
+        pool.down("peer", 0.0, 0.0, 4.0)
+        last_t = points[-1][2]
+        assert pool.expire("old", last_t + pool.timeout * 0.99) == []
+        fired = pool.expire("old", last_t + pool.timeout)
+        assert [(d.key, d.reason) for d in fired] == [("old", "timeout")]
+        assert fired[0].t == pytest.approx(last_t + pool.timeout)
+        assert pool.clock.now == 5.0
+        assert pool.expire("old", 9.0) == []  # already decided
+
     def test_manipulation_phase_is_silent_then_commits(self, pool):
         points = _square_points(4)
         for i, (x, y, t) in enumerate(points):
